@@ -4,10 +4,15 @@
 //! `--workers 1,2,4,8`) for several group sizes, written to
 //! `BENCH_parallel.json` at the workspace root.
 //!
-//! Two scenarios: a single LKH tree (workers split one tree's plan
-//! into chunks) and a four-tree loss-homogenized forest through the
+//! Three scenarios: a single LKH tree (workers split one tree's plan
+//! into chunks), a four-tree loss-homogenized forest through the
 //! unified engine (workers execute whole trees concurrently — the
-//! cross-tree fan-out path).
+//! cross-tree fan-out path), and a bootstrap (all `n` members join an
+//! empty tree in one pure-join batch, the §2.1 per-joiner plan, whose
+//! cost must grow ~n log n).
+//!
+//! The JSON also records the memory cost of the key server's
+//! prepared-KEK cache per tree node.
 //!
 //! The engine guarantees byte-identical output for every worker count
 //! (asserted here as well), so the only thing that may change with
@@ -19,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rekey_core::loss_forest::LossForestManager;
 use rekey_core::{GroupKeyManager, Join};
+use rekey_crypto::keywrap::WrapKek;
 use rekey_crypto::Key;
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::MemberId;
@@ -66,6 +72,18 @@ fn worker_counts(cores: usize) -> (Vec<usize>, bool) {
     let was_capped = capped.len() < DEFAULT_WORKER_COUNTS.len();
     (if capped.is_empty() { vec![1] } else { capped }, was_capped)
 }
+
+/// All `n` members' join requests for the bootstrap scenario.
+fn bootstrap_joins(n: u64) -> Vec<(MemberId, Key)> {
+    let mut rng = StdRng::seed_from_u64(n ^ 0xB007);
+    (0..n)
+        .map(|i| (MemberId(i), Key::generate(&mut rng)))
+        .collect()
+}
+
+/// Builds a one-tree scenario's base server, joins and leavers for a
+/// group size.
+type TreeCase = fn(u64) -> (LkhServer, Vec<(MemberId, Key)>, Vec<MemberId>);
 
 /// Loss-class boundaries for the cross-tree scenario: four trees.
 const BOUNDARIES: [f64; 3] = [0.25, 0.5, 0.75];
@@ -157,51 +175,64 @@ fn main() {
     );
 
     let mut samples: Vec<Sample> = Vec::new();
-    for n in GROUP_SIZES {
-        let base = build_server(n);
-        let (joins, leavers) = churn(n);
-        let mut seq_min = 0.0f64;
-        let mut reference = None;
-        for (wi, &workers) in sweep.iter().enumerate() {
-            let mut times = Vec::with_capacity(REPS);
-            let mut encrypted_keys = 0;
-            for rep in 0..REPS {
-                let mut server = base.clone();
-                server.set_parallelism(workers);
-                let mut rng = StdRng::seed_from_u64(7 + rep as u64);
-                let start = Instant::now();
-                let out = server.apply_batch(&joins, &leavers, &mut rng);
-                times.push(start.elapsed().as_secs_f64());
-                encrypted_keys = out.stats.encrypted_keys;
-                if rep == 0 {
-                    // The engine's core guarantee, re-checked on bench
-                    // inputs: worker count never changes the message.
-                    match &reference {
-                        None => reference = Some(out.message),
-                        Some(msg) => assert_eq!(msg, &out.message, "output diverged"),
+    // One-tree scenarios, each a base server and one batch per group
+    // size: churn on a built group (workers split the plan into
+    // chunks), and bootstrap — all `n` members joining an empty tree.
+    let tree_scenarios: [(&'static str, u64, TreeCase); 2] = [
+        ("single-tree", 7, |n| {
+            let (joins, leavers) = churn(n);
+            (build_server(n), joins, leavers)
+        }),
+        ("bootstrap", 13, |n| {
+            (LkhServer::new(4, 0), bootstrap_joins(n), Vec::new())
+        }),
+    ];
+    for (scenario, seed, case) in tree_scenarios {
+        for n in GROUP_SIZES {
+            let (base, joins, leavers) = case(n);
+            let mut seq_min = 0.0f64;
+            let mut reference = None;
+            for (wi, &workers) in sweep.iter().enumerate() {
+                let mut times = Vec::with_capacity(REPS);
+                let mut encrypted_keys = 0;
+                for rep in 0..REPS {
+                    let mut server = base.clone();
+                    server.set_parallelism(workers);
+                    let mut rng = StdRng::seed_from_u64(seed + rep as u64);
+                    let start = Instant::now();
+                    let out = server.apply_batch(&joins, &leavers, &mut rng);
+                    times.push(start.elapsed().as_secs_f64());
+                    encrypted_keys = out.stats.encrypted_keys;
+                    if rep == 0 {
+                        // The engine's core guarantee, re-checked on bench
+                        // inputs: worker count never changes the message.
+                        match &reference {
+                            None => reference = Some(out.message),
+                            Some(msg) => assert_eq!(msg, &out.message, "output diverged"),
+                        }
                     }
                 }
+                let min_s = times.iter().cloned().fold(f64::INFINITY, f64::min);
+                let mean_s = times.iter().sum::<f64>() / times.len() as f64;
+                if wi == 0 {
+                    seq_min = min_s;
+                }
+                let speedup = seq_min / min_s;
+                println!(
+                    "{scenario:<11} n={n:>6} workers={workers}  min {:>9.3} ms  mean {:>9.3} ms  {encrypted_keys} keys  speedup {speedup:>5.2}x",
+                    min_s * 1e3,
+                    mean_s * 1e3
+                );
+                samples.push(Sample {
+                    scenario,
+                    n,
+                    workers,
+                    encrypted_keys,
+                    mean_s,
+                    min_s,
+                    speedup_vs_seq: speedup,
+                });
             }
-            let min_s = times.iter().cloned().fold(f64::INFINITY, f64::min);
-            let mean_s = times.iter().sum::<f64>() / times.len() as f64;
-            if wi == 0 {
-                seq_min = min_s;
-            }
-            let speedup = seq_min / min_s;
-            println!(
-                "single-tree n={n:>6} workers={workers}  min {:>9.3} ms  mean {:>9.3} ms  {encrypted_keys} keys  speedup {speedup:>5.2}x",
-                min_s * 1e3,
-                mean_s * 1e3
-            );
-            samples.push(Sample {
-                scenario: "single-tree",
-                n,
-                workers,
-                encrypted_keys,
-                mean_s,
-                min_s,
-                speedup_vs_seq: speedup,
-            });
         }
     }
 
@@ -257,6 +288,15 @@ fn main() {
         }
     }
 
+    // Each tree node holds an `Option<Box<WrapKek>>`: a pointer inline,
+    // plus the prepared KEK on the heap while the node's key version
+    // has been used as a KEK.
+    let cache_inline = std::mem::size_of::<Option<Box<WrapKek>>>();
+    let cache_heap = std::mem::size_of::<WrapKek>();
+    println!(
+        "prepared-KEK cache: {cache_inline} B per node inline, +{cache_heap} B heap per prepared node"
+    );
+
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"perf_parallel\",");
@@ -276,6 +316,10 @@ fn main() {
     );
     let _ = writeln!(json, "  \"host_cores\": {cores},");
     let _ = writeln!(json, "  \"reps_per_point\": {REPS},");
+    let _ = writeln!(
+        json,
+        "  \"kek_cache\": {{\"inline_bytes_per_node\": {cache_inline}, \"heap_bytes_per_prepared_node\": {cache_heap}}},"
+    );
     json.push_str("  \"results\": [\n");
     for (i, s) in samples.iter().enumerate() {
         let sep = if i + 1 == samples.len() { "" } else { "," };

@@ -6,7 +6,8 @@
 //! queued member).
 
 use rand::RngCore;
-use rekey_crypto::{keywrap, Key};
+use rekey_crypto::keywrap::WrapKek;
+use rekey_crypto::Key;
 use rekey_keytree::message::RekeyEntry;
 use rekey_keytree::{MemberId, NodeId};
 
@@ -38,7 +39,7 @@ impl DekState {
         old
     }
 
-    /// Entry wrapping the current DEK under an arbitrary key.
+    /// Entry wrapping the current DEK under an arbitrary prepared KEK.
     /// `recipient` is set for entries addressed to one member's
     /// individual key.
     #[allow(clippy::too_many_arguments)]
@@ -46,7 +47,7 @@ impl DekState {
         &self,
         under: NodeId,
         under_version: u64,
-        under_key: &Key,
+        under_kek: &WrapKek,
         under_is_leaf: bool,
         recipient: Option<MemberId>,
         audience: u32,
@@ -61,7 +62,7 @@ impl DekState {
             recipient,
             audience,
             target_depth: 0,
-            wrapped: keywrap::wrap(under_key, &self.key, &mut rng),
+            wrapped: under_kek.wrap(&self.key, &mut rng),
         }
     }
 }

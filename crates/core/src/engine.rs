@@ -43,6 +43,7 @@ use crate::dek::DekState;
 use crate::persist::PersistError;
 use crate::{GroupKeyManager, IntervalOutcome, IntervalStats, Join};
 use rand::RngCore;
+use rekey_crypto::keywrap::WrapKek;
 use rekey_crypto::Key;
 use rekey_keytree::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
 use rekey_keytree::message::{RekeyEntry, RekeyMessage};
@@ -189,7 +190,7 @@ impl DekCtx<'_> {
         self.dek.wrap_under(
             under,
             under_version,
-            under_key,
+            &WrapKek::new(under_key),
             under_is_leaf,
             recipient,
             audience,
@@ -198,12 +199,14 @@ impl DekCtx<'_> {
     }
 
     /// Entry wrapping the current DEK under a tree's root key, with
-    /// the tree's population as the audience.
+    /// the tree's population as the audience. The root's KEK comes from
+    /// the tree's node cache: the engine prepares every occupied root
+    /// before DEK distribution.
     pub fn wrap_tree_root(&self, server: &LkhServer, rng: &mut dyn RngCore) -> RekeyEntry {
-        self.wrap_under(
+        self.dek.wrap_under(
             server.root_node(),
             server.root_version(),
-            server.root_key(),
+            server.root_kek(),
             false,
             None,
             server.member_count() as u32,
@@ -534,6 +537,14 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
 
         // Phase 8: DEK rotation + distribution.
         if let Some(dek) = &mut self.dek {
+            // Occupied roots are the usual DEK KEKs; their prepared
+            // KEKs stay cached until the root key changes, and also
+            // serve a later pure-join batch's wrap under the old root.
+            for slot in &mut self.trees {
+                if slot.server.member_count() > 0 {
+                    slot.server.prepare_root_kek();
+                }
+            }
             let (previous_key, previous_version) = dek.refresh(rng);
             let ctx = DekCtx {
                 dek,

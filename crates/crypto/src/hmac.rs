@@ -4,16 +4,16 @@
 //!
 //! Keying HMAC costs two SHA-256 compressions (one per pad block)
 //! before the first message byte is absorbed. [`HmacKey`] performs
-//! them once and stores the post-pad inner and outer hash states;
-//! every MAC started from it ([`HmacKey::mac`]) is then a pair of
-//! cheap state clones. [`crate::keywrap`] relies on this to amortize
-//! MAC setup across all entries wrapped under the same key-encryption
-//! key in a rekey batch.
+//! them once and stores the post-pad inner and outer chaining states;
+//! every MAC started from it ([`HmacKey::mac`]) resumes from those. [`crate::keywrap`] relies on this to amortize
+//! MAC setup across every entry wrapped under the same key-encryption
+//! key, and [`crate::hkdf`] to schedule a salt or PRK once for several
+//! extracts or expands.
 
 use crate::sha256::{self, Sha256, BLOCK_LEN, DIGEST_LEN};
 
-/// A reusable HMAC-SHA256 key: the inner (ipad) and outer (opad) hash
-/// states, precomputed once.
+/// A reusable HMAC-SHA256 key: the inner (ipad) and outer (opad)
+/// chaining states after their pad blocks, precomputed once (64 bytes).
 ///
 /// # Example
 ///
@@ -27,8 +27,8 @@ use crate::sha256::{self, Sha256, BLOCK_LEN, DIGEST_LEN};
 /// ```
 #[derive(Clone)]
 pub struct HmacKey {
-    inner: Sha256,
-    outer: Sha256,
+    inner: [u32; 8],
+    outer: [u32; 8],
 }
 
 impl std::fmt::Debug for HmacKey {
@@ -61,14 +61,19 @@ impl HmacKey {
         inner.update(&ipad_key);
         let mut outer = Sha256::new();
         outer.update(&opad_key);
-        HmacKey { inner, outer }
+        HmacKey {
+            inner: inner.block_state(),
+            outer: outer.block_state(),
+        }
     }
 
-    /// Starts a MAC computation from the precomputed pad states.
+    /// Starts a MAC computation from the precomputed pad states, on
+    /// the process-wide SIMD backend in force now (a key may outlive a
+    /// `simd::force`; the tag is the same on every backend).
     pub fn mac(&self) -> HmacSha256 {
         HmacSha256 {
-            inner: self.inner.clone(),
-            outer: self.outer.clone(),
+            inner: Sha256::resume(self.inner, BLOCK_LEN as u64),
+            outer: Sha256::resume(self.outer, BLOCK_LEN as u64),
         }
     }
 }

@@ -1,10 +1,22 @@
 //! The [`Key`] type: a 256-bit symmetric key.
 
+use crate::hkdf;
+use crate::hmac::HmacKey;
 use rand::RngCore;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Length of a [`Key`] in bytes.
 pub const KEY_LEN: usize = 32;
+
+/// HKDF salt of every [`Key::derive`].
+const DERIVE_SALT: &[u8] = b"rekey-key-derive";
+
+/// [`DERIVE_SALT`] scheduled as an HMAC key, once per process.
+fn derive_salt() -> &'static HmacKey {
+    static SALT: OnceLock<HmacKey> = OnceLock::new();
+    SALT.get_or_init(|| HmacKey::new(DERIVE_SALT))
+}
 
 /// A 256-bit symmetric key.
 ///
@@ -55,10 +67,22 @@ impl Key {
     /// Used e.g. to split a key-encryption key into independent
     /// encryption and MAC sub-keys, and by the OFT scheme to compute
     /// blinded keys.
+    ///
+    /// Equal to RFC 5869 HKDF with salt `"rekey-key-derive"`, IKM this
+    /// key and info `label`; the salt's HMAC state is scheduled once
+    /// per process.
     pub fn derive(&self, label: &[u8]) -> Key {
+        rekey_obs::count("crypto.hkdf", 1);
         let mut out = [0u8; KEY_LEN];
-        crate::hkdf::derive(b"rekey-key-derive", &self.0, label, &mut out);
+        hkdf::expand_with(&self.derive_prk(), label, &mut out);
         Key(out)
+    }
+
+    /// The HKDF-Extract output behind every [`Key::derive`] of this
+    /// key, scheduled as an HMAC key: several labels expanded from it
+    /// share one extract and one PRK schedule.
+    pub(crate) fn derive_prk(&self) -> HmacKey {
+        HmacKey::new(&hkdf::extract_with(derive_salt(), &self.0))
     }
 
     /// Returns a short (8 hex digit) fingerprint of the key, suitable
@@ -120,6 +144,14 @@ mod tests {
         assert_eq!(k.derive(b"enc"), k.derive(b"enc"));
         assert_ne!(k.derive(b"enc"), k.derive(b"mac"));
         assert_ne!(k.derive(b"enc"), k);
+    }
+
+    #[test]
+    fn derive_is_rfc5869_hkdf() {
+        let k = Key::from_bytes([9; KEY_LEN]);
+        let mut expected = [0u8; KEY_LEN];
+        hkdf::derive(DERIVE_SALT, k.as_bytes(), b"wrap-enc", &mut expected);
+        assert_eq!(k.derive(b"wrap-enc"), Key::from_bytes(expected));
     }
 
     #[test]

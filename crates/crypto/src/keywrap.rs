@@ -18,17 +18,16 @@
 //!
 //! # Batching
 //!
-//! Step 1 (sub-key derivation, two HKDF expands) and the HMAC key
-//! schedule are pure functions of the KEK alone, yet a rekey batch
-//! wraps many entries under the *same* KEK — every entry of a node's
-//! sibling set, and every entry along a joining member's path. A
-//! [`WrapKek`] performs that setup once; `wrap`/`unwrap` through it
-//! cost only the per-entry cipher + MAC work. The output is a pure
-//! function of (KEK, payload, nonce), so wrapping through a cached
-//! [`WrapKek`] is byte-identical to the one-shot free functions.
+//! Step 1 (sub-key derivation) and the HMAC key schedule are pure
+//! functions of the KEK alone. A [`WrapKek`] performs that setup once;
+//! `wrap`/`unwrap` through it cost only the per-entry cipher + MAC
+//! work. The output is a pure function of (KEK, payload, nonce), so
+//! wrapping through a [`WrapKek`] kept for as long as its KEK is in use
+//! (the key server caches one per tree node key, a member one per held
+//! key) is byte-identical to the one-shot free functions.
 
-use crate::chacha20;
 use crate::hmac::HmacKey;
+use crate::{chacha20, hkdf};
 use crate::{ct_eq, CryptoError, Key};
 use rand::RngCore;
 
@@ -87,10 +86,12 @@ impl WrappedKey {
 /// A key-encryption key with its wrap setup done: derived encryption
 /// sub-key plus a scheduled HMAC key.
 ///
-/// Construction costs two HKDF expands and the HMAC pad compressions;
-/// each subsequent [`wrap`](WrapKek::wrap) / [`unwrap`](WrapKek::unwrap)
-/// skips all of it. The key server's batch scratch caches one of these
-/// per (node, key version) so sibling entries share the setup.
+/// Construction runs one HKDF extract, two expands and the HMAC pad
+/// schedules (about ten SHA-256 compressions); each subsequent
+/// [`wrap`](WrapKek::wrap) / [`unwrap`](WrapKek::unwrap) skips all of
+/// it. The key server keeps one per tree node for the lifetime of the
+/// node's key version, so every entry wrapped under that version shares
+/// the setup.
 ///
 /// # Example
 ///
@@ -118,10 +119,22 @@ impl std::fmt::Debug for WrapKek {
 
 impl WrapKek {
     /// Derives the wrap sub-keys from `kek` and schedules the MAC key.
+    ///
+    /// The sub-keys are `kek.derive("wrap-enc")` and
+    /// `kek.derive("wrap-mac")`. Both derives share salt and IKM, hence
+    /// one PRK, so it is extracted and scheduled once and both labels
+    /// are expanded from it. `crypto.hkdf` still counts the two
+    /// derivations.
     pub fn new(kek: &Key) -> Self {
+        rekey_obs::count("crypto.hkdf", 2);
+        let prk = kek.derive_prk();
+        let mut enc_key = [0u8; 32];
+        let mut mac_key = [0u8; 32];
+        hkdf::expand_with(&prk, b"wrap-enc", &mut enc_key);
+        hkdf::expand_with(&prk, b"wrap-mac", &mut mac_key);
         WrapKek {
-            enc_key: *kek.derive(b"wrap-enc").as_bytes(),
-            mac: HmacKey::new(kek.derive(b"wrap-mac").as_bytes()),
+            enc_key,
+            mac: HmacKey::new(&mac_key),
         }
     }
 

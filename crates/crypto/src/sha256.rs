@@ -94,6 +94,23 @@ impl Sha256 {
         }
     }
 
+    /// The chaining state after a whole number of blocks — what
+    /// [`crate::hmac::HmacKey`] keeps of its pad states.
+    pub(crate) fn block_state(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0, "state taken mid-block");
+        self.state
+    }
+
+    /// Resumes hashing from a [`Sha256::block_state`] taken after
+    /// `absorbed` bytes, on the process-wide SIMD backend in force now.
+    pub(crate) fn resume(state: [u32; 8], absorbed: u64) -> Self {
+        Sha256 {
+            state,
+            total_len: absorbed,
+            ..Self::new()
+        }
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
@@ -125,13 +142,19 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80, pad with zeros to 56 mod 64, then the length.
-        self.update_padding(0x80);
-        while self.buf_len != 56 {
-            self.update_padding(0x00);
+        // Append 0x80, pad with zeros to 56 mod 64 (spilling into one
+        // more block when the 0x80 lands past byte 55), then the length.
+        let mut end = self.buf_len;
+        self.buf[end] = 0x80;
+        end += 1;
+        if end > 56 {
+            self.buf[end..].fill(0);
+            let block = self.buf;
+            self.compress(&block);
+            end = 0;
         }
-        let len_bytes = bit_len.to_be_bytes();
-        self.buf[56..64].copy_from_slice(&len_bytes);
+        self.buf[end..56].fill(0);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -148,16 +171,6 @@ impl Sha256 {
             1,
         );
         out
-    }
-
-    fn update_padding(&mut self, byte: u8) {
-        self.buf[self.buf_len] = byte;
-        self.buf_len += 1;
-        if self.buf_len == BLOCK_LEN {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
     }
 
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
@@ -387,6 +400,26 @@ mod tests {
         }
     }
 
+    /// FIPS 180-4 padding spelled out on a materialized message, then
+    /// block-by-block compression: an independent check of `finalize`.
+    fn padded_reference(data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK_LEN != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut h = Sha256::new_with(Backend::Scalar);
+        for block in padded.chunks_exact(BLOCK_LEN) {
+            h.compress(block.try_into().unwrap());
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, word) in h.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
     #[test]
     fn length_boundaries() {
         // Exercise padding across the 55/56/63/64-byte boundaries.
@@ -395,6 +428,10 @@ mod tests {
             let mut h = Sha256::new();
             h.update(&data);
             assert_eq!(h.finalize(), digest(&data), "len {len}");
+        }
+        for len in 0..=2 * BLOCK_LEN + 2 {
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            assert_eq!(digest(&data), padded_reference(&data), "len {len}");
         }
     }
 

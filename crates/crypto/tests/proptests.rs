@@ -1,7 +1,40 @@
 //! Property-based tests for the cryptographic primitives.
 
 use proptest::prelude::*;
+use rekey_crypto::keywrap::{WrapKek, NONCE_LEN, TAG_LEN, WRAPPED_LEN};
 use rekey_crypto::{chacha20, hkdf, hmac, keywrap, sha256, Key};
+
+/// A wrap built the way `WrapKek::new` used to build it: two full
+/// RFC 5869 derivations (each with its own salt schedule, extract and
+/// PRK schedule), then ChaCha20 and a truncated HMAC-SHA256 tag over
+/// `nonce || ciphertext`.
+fn two_derive_wrap(kek: &Key, payload: &Key, nonce: [u8; NONCE_LEN]) -> [u8; WRAPPED_LEN] {
+    let mut enc_key = [0u8; 32];
+    let mut mac_key = [0u8; 32];
+    hkdf::derive(
+        b"rekey-key-derive",
+        kek.as_bytes(),
+        b"wrap-enc",
+        &mut enc_key,
+    );
+    hkdf::derive(
+        b"rekey-key-derive",
+        kek.as_bytes(),
+        b"wrap-mac",
+        &mut mac_key,
+    );
+    let mut ciphertext = *payload.as_bytes();
+    chacha20::xor_in_place(&enc_key, &nonce, 1, &mut ciphertext);
+    let mut mac = hmac::HmacSha256::new(&mac_key);
+    mac.update(&nonce);
+    mac.update(&ciphertext);
+    let tag = mac.finalize();
+    let mut out = [0u8; WRAPPED_LEN];
+    out[..NONCE_LEN].copy_from_slice(&nonce);
+    out[NONCE_LEN..NONCE_LEN + 32].copy_from_slice(&ciphertext);
+    out[NONCE_LEN + 32..].copy_from_slice(&tag[..TAG_LEN]);
+    out
+}
 
 proptest! {
     /// Incremental hashing over arbitrary chunk splits matches the
@@ -77,6 +110,29 @@ proptest! {
         let wrapped = keywrap::wrap_with_nonce(&kek, &payload, nonce);
         prop_assert_eq!(keywrap::unwrap(&kek, &wrapped).unwrap(), payload);
         prop_assert!(keywrap::unwrap(&other, &wrapped).is_err());
+    }
+
+    /// The one-extract `WrapKek::new` is byte-identical to the
+    /// two-derive construction for arbitrary KEKs and nonces, and
+    /// `Key::derive` (cached salt schedule) is plain RFC 5869 HKDF.
+    #[test]
+    fn wrap_kek_matches_two_derive_construction(kek in any::<[u8; 32]>(),
+                                                payload in any::<[u8; 32]>(),
+                                                nonces in proptest::collection::vec(any::<[u8; 12]>(), 1..4)) {
+        let kek = Key::from_bytes(kek);
+        let payload = Key::from_bytes(payload);
+        let prepared = WrapKek::new(&kek);
+        for nonce in nonces {
+            let expected = two_derive_wrap(&kek, &payload, nonce);
+            let wrapped = prepared.wrap_with_nonce(&payload, nonce);
+            prop_assert_eq!(wrapped.to_bytes(), expected);
+            prop_assert_eq!(prepared.unwrap(&wrapped).unwrap(), payload.clone());
+        }
+        for label in [&b"wrap-enc"[..], b"wrap-mac", b"oft-blind"] {
+            let mut expected = [0u8; 32];
+            hkdf::derive(b"rekey-key-derive", kek.as_bytes(), label, &mut expected);
+            prop_assert_eq!(kek.derive(label), Key::from_bytes(expected));
+        }
     }
 
     /// Serialized wrapped keys survive a parse roundtrip.

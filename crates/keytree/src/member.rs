@@ -8,18 +8,52 @@
 //!
 //! Processing is a single forward pass thanks to the
 //! deepest-target-first entry order; see [`crate::message`].
+//!
+//! Every key in the ring is prepared for unwrapping (a
+//! [`WrapKek`]) on its first use as a KEK, and the preparation is
+//! dropped when the key is replaced, so a key version costs one KEK
+//! setup however many entries are unwrapped under it.
 
 use crate::message::{RekeyEntry, RekeyMessage};
 use crate::{KeyTreeError, MemberId, NodeId};
-use rekey_crypto::{keywrap, Key};
+use rekey_crypto::keywrap::{WrapKek, WrappedKey};
+use rekey_crypto::{CryptoError, Key};
 use std::collections::HashMap;
+
+/// One key of a member's ring, with its prepared KEK once used.
+#[derive(Debug, Clone)]
+struct HeldKey {
+    version: u64,
+    key: Key,
+    kek: Option<Box<WrapKek>>,
+}
+
+impl HeldKey {
+    fn new(version: u64, key: Key) -> Self {
+        HeldKey {
+            version,
+            key,
+            kek: None,
+        }
+    }
+
+    /// Unwraps `wrapped` under this key, preparing its KEK on first use.
+    fn unwrap(&mut self, wrapped: &WrappedKey) -> Result<Key, CryptoError> {
+        let key = &self.key;
+        self.kek
+            .get_or_insert_with(|| Box::new(WrapKek::new(key)))
+            .unwrap(wrapped)
+    }
+}
 
 /// The key ring and message-processing logic of one group member.
 #[derive(Debug, Clone)]
 pub struct GroupMember {
     id: MemberId,
-    individual: Key,
-    keys: HashMap<NodeId, (u64, Key)>,
+    /// The individual key; version 0 of the member's leaf once the
+    /// leaf id is learned.
+    individual: HeldKey,
+    keys: HashMap<NodeId, HeldKey>,
     processed_entries: u64,
     decrypted_entries: u64,
 }
@@ -30,7 +64,7 @@ impl GroupMember {
     pub fn new(id: MemberId, individual_key: Key) -> Self {
         GroupMember {
             id,
-            individual: individual_key,
+            individual: HeldKey::new(0, individual_key),
             keys: HashMap::new(),
             processed_entries: 0,
             decrypted_entries: 0,
@@ -44,17 +78,17 @@ impl GroupMember {
 
     /// The member's individual key (shared only with the key server).
     pub fn individual_key(&self) -> &Key {
-        &self.individual
+        &self.individual.key
     }
 
     /// The current key this member holds for `node`, if any.
     pub fn key_for(&self, node: NodeId) -> Option<&Key> {
-        self.keys.get(&node).map(|(_, k)| k)
+        self.keys.get(&node).map(|held| &held.key)
     }
 
     /// The version of the key this member holds for `node`, if any.
     pub fn version_for(&self, node: NodeId) -> Option<u64> {
-        self.keys.get(&node).map(|(v, _)| *v)
+        self.keys.get(&node).map(|held| held.version)
     }
 
     /// Number of distinct tree keys currently held (excluding the
@@ -73,7 +107,11 @@ impl GroupMember {
     /// harnesses compare this ring against an independent oracle of
     /// the keys this member is *entitled* to.
     pub fn held_keys(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.keys.iter().map(|(&n, &(v, _))| (n, v))
+        self.keys.iter().map(|(&n, held)| (n, held.version))
+    }
+
+    fn held_version(&self, node: NodeId) -> Option<u64> {
+        self.keys.get(&node).map(|held| held.version)
     }
 
     fn try_entry(&mut self, entry: &RekeyEntry) -> Result<bool, KeyTreeError> {
@@ -81,18 +119,18 @@ impl GroupMember {
         // replayed or reordered entry roll a held key *back*: an entry
         // only installs its target when it advances (or first
         // establishes) the version we hold for that node.
-        if let Some((version, key)) = self.keys.get(&entry.under) {
-            if *version == entry.under_version {
-                let held = self.keys.get(&entry.target).map(|(v, _)| *v);
-                if held.is_some_and(|v| v >= entry.target_version) {
-                    return Ok(false);
-                }
-                let key = key.clone();
-                let new_key = keywrap::unwrap(&key, &entry.wrapped)?;
-                self.keys
-                    .insert(entry.target, (entry.target_version, new_key));
-                return Ok(true);
+        if self.held_version(entry.under) == Some(entry.under_version) {
+            if self
+                .held_version(entry.target)
+                .is_some_and(|v| v >= entry.target_version)
+            {
+                return Ok(false);
             }
+            let under = self.keys.get_mut(&entry.under).expect("held above");
+            let new_key = under.unwrap(&entry.wrapped)?;
+            self.keys
+                .insert(entry.target, HeldKey::new(entry.target_version, new_key));
+            return Ok(true);
         }
         // An entry addressed directly to our individual key? The leaf
         // node id is assigned by the server, so we learn it here. The
@@ -102,13 +140,16 @@ impl GroupMember {
             && entry.recipient == Some(self.id)
             && !self.keys.contains_key(&entry.under)
         {
-            let new_key = keywrap::unwrap(&self.individual, &entry.wrapped)?;
-            self.keys
-                .insert(entry.under, (entry.under_version, self.individual.clone()));
-            let held = self.keys.get(&entry.target).map(|(v, _)| *v);
-            if held.is_none_or(|v| v < entry.target_version) {
+            let new_key = self.individual.unwrap(&entry.wrapped)?;
+            let mut leaf = self.individual.clone();
+            leaf.version = entry.under_version;
+            self.keys.insert(entry.under, leaf);
+            if self
+                .held_version(entry.target)
+                .is_none_or(|v| v < entry.target_version)
+            {
                 self.keys
-                    .insert(entry.target, (entry.target_version, new_key));
+                    .insert(entry.target, HeldKey::new(entry.target_version, new_key));
             }
             return Ok(true);
         }
@@ -169,9 +210,7 @@ impl GroupMember {
     /// message — i.e. whether the message is "of interest" to it.
     pub fn is_interested(&self, message: &RekeyMessage) -> bool {
         message.entries.iter().any(|e| {
-            self.keys
-                .get(&e.under)
-                .is_some_and(|(v, _)| *v == e.under_version)
+            self.held_version(e.under) == Some(e.under_version)
                 || (e.under_is_leaf && e.recipient == Some(self.id))
         })
     }

@@ -31,9 +31,11 @@
 
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
+use rekey_crypto::hmac::HmacKey;
 use rekey_crypto::keywrap::{self, WrappedKey};
 use rekey_crypto::{hkdf, Key};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Which side of its parent a node hangs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,13 +61,18 @@ pub fn blind(key: &Key) -> Key {
     key.derive(b"oft-blind")
 }
 
-/// Mixes two blinded child keys into the parent key.
+/// Mixes two blinded child keys into the parent key: RFC 5869 HKDF
+/// with salt `"oft-mix"` (scheduled once per process), IKM the two
+/// blinds, info `"parent-key"`.
 pub fn mix(left_blind: &Key, right_blind: &Key) -> Key {
-    let mut ikm = Vec::with_capacity(64);
-    ikm.extend_from_slice(left_blind.as_bytes());
-    ikm.extend_from_slice(right_blind.as_bytes());
+    static SALT: OnceLock<HmacKey> = OnceLock::new();
+    let mut ikm = [0u8; 64];
+    ikm[..32].copy_from_slice(left_blind.as_bytes());
+    ikm[32..].copy_from_slice(right_blind.as_bytes());
+    rekey_obs::count("crypto.hkdf", 1);
+    let prk = hkdf::extract_with(SALT.get_or_init(|| HmacKey::new(b"oft-mix")), &ikm);
     let mut out = [0u8; 32];
-    hkdf::derive(b"oft-mix", &ikm, b"parent-key", &mut out);
+    hkdf::expand(&prk, b"parent-key", &mut out);
     Key::from_bytes(out)
 }
 
@@ -751,6 +758,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeMap;
+
+    #[test]
+    fn mix_is_rfc5869_hkdf() {
+        let (l, r) = (Key::from_bytes([1; 32]), Key::from_bytes([2; 32]));
+        let mut ikm = l.as_bytes().to_vec();
+        ikm.extend_from_slice(r.as_bytes());
+        let mut expected = [0u8; 32];
+        hkdf::derive(b"oft-mix", &ikm, b"parent-key", &mut expected);
+        assert_eq!(mix(&l, &r), Key::from_bytes(expected));
+    }
 
     struct Group {
         server: OftServer,

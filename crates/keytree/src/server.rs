@@ -49,9 +49,9 @@ use crate::message::{RekeyEntry, RekeyMessage};
 use crate::tree::KeyTree;
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
-use rekey_crypto::keywrap::{self, WrapKek, WrappedKey, NONCE_LEN};
+use rekey_crypto::keywrap::{WrapKek, WrappedKey, NONCE_LEN};
 use rekey_crypto::Key;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Below this many planned encryptions a batch is executed inline:
 /// thread spawn/join overhead would dominate the crypto work.
@@ -112,25 +112,38 @@ struct EntryMeta {
     target_depth: u32,
 }
 
+/// Where a planned wrap finds its prepared KEK.
+#[derive(Debug, Clone, Copy)]
+enum KekRef {
+    /// The KEK cache of the tree node in this slot (its current key).
+    Node(usize),
+    /// [`RekeyScratch::old_keks`]`[i]`: a dirty node's pre-refresh key,
+    /// wrapped under by pure-join batches.
+    Old(usize),
+}
+
 /// One planned key encryption: a pure function of its fields (plus the
-/// batch's shared KEK arena), ready to execute on any worker. The
-/// payload key is held inline (32-byte copy) so workers never chase
-/// pointers into the tree; the KEK is an index into
-/// [`RekeyScratch::keks`], where its derived sub-keys and scheduled MAC
-/// state live once per (node, version) rather than once per entry —
-/// all sibling entries of a node and all entries along a joiner's path
-/// share one setup.
+/// prepared KEK it names), ready to execute on any worker. The payload
+/// key is held inline (32-byte copy) so workers never chase pointers
+/// into the tree; the KEK's derived sub-keys and scheduled MAC state
+/// live once per key version in the tree's node cache, so all sibling
+/// entries of a node, all entries along a joiner's path, and every
+/// later batch until the key changes share one setup.
 #[derive(Debug, Clone)]
 struct PlannedWrap {
-    kek_slot: usize,
+    kek: KekRef,
     payload: Key,
     nonce: [u8; NONCE_LEN],
     meta: EntryMeta,
 }
 
 impl PlannedWrap {
-    fn execute(&self, keks: &[WrapKek]) -> WrappedKey {
-        keks[self.kek_slot].wrap_with_nonce(&self.payload, self.nonce)
+    fn execute(&self, tree: &KeyTree, old_keks: &[OldKek]) -> WrappedKey {
+        let kek = match self.kek {
+            KekRef::Node(slot) => tree.cached_kek(slot).expect("planning prepared every KEK"),
+            KekRef::Old(i) => &old_keks[i].kek,
+        };
+        kek.wrap_with_nonce(&self.payload, self.nonce)
     }
 
     fn into_entry(self, wrapped: WrappedKey) -> RekeyEntry {
@@ -148,80 +161,59 @@ impl PlannedWrap {
     }
 }
 
+/// A dirty node's pre-refresh KEK, moved out of its node cache before
+/// a pure-join batch refreshes the key.
+#[derive(Debug, Clone)]
+struct OldKek {
+    node: NodeId,
+    version: u64,
+    kek: Box<WrapKek>,
+}
+
 /// Reusable per-batch working memory for the rekey engine.
 ///
 /// Every buffer is cleared (capacity retained) at the start of a batch,
 /// so a warmed-up server performs no per-epoch heap allocation in the
-/// planning phase; the only allocation per batch is the output
-/// [`RekeyMessage`] handed to the caller.
+/// planning phase beyond the KEKs it prepares; the other allocation per
+/// batch is the output [`RekeyMessage`] handed to the caller.
 #[derive(Debug, Clone, Default)]
 pub struct RekeyScratch {
     /// Dirty node ids, sorted ascending and deduplicated.
     dirty: Vec<NodeId>,
-    /// Pre-refresh `(node, version, key)` snapshots, sorted by node —
-    /// populated only for pure-join batches (the only mode that wraps
-    /// under previous keys).
-    old_versions: Vec<(NodeId, u64, Key)>,
+    /// Pre-refresh KEKs of the dirty nodes that existed before the
+    /// batch, sorted by node — populated only for pure-join batches
+    /// (the only mode that wraps under previous keys).
+    old_keks: Vec<OldKek>,
     /// Tree slots vacated by this batch's departures.
     vacancies: VecDeque<NodeId>,
-    /// Interior nodes created by leaf splits in this batch.
+    /// Interior nodes created by leaf splits in this batch, ascending.
     created: Vec<NodeId>,
-    /// Flattened leaf-to-root paths of this batch's joiners.
-    path_nodes: Vec<NodeId>,
-    /// `(offset, len)` spans into `path_nodes`, parallel to the
-    /// batch's `joined_leaves`.
-    path_spans: Vec<(usize, usize)>,
+    /// Tree slot of each joiner's leaf, parallel to the batch's
+    /// `joined_leaves` (pure-join batches).
+    joiner_slots: Vec<usize>,
+    /// The joiners' leaf ids, sorted (pure-join batches).
+    joiner_leaves: Vec<NodeId>,
+    /// Node→joiners index: `(ancestor, joiner index)` for every node
+    /// on every joiner's path, sorted (pure-join batches).
+    joiners_under: Vec<(NodeId, usize)>,
     /// The encryption plan for the current batch.
     plan: Vec<PlannedWrap>,
     /// Per-plan-slot results written by the worker pool.
     wrapped: Vec<Option<WrappedKey>>,
-    /// Prepared KEKs (derived sub-keys + scheduled MAC state), one per
-    /// distinct wrapping key of the batch; [`PlannedWrap::kek_slot`]
-    /// indexes here.
-    keks: Vec<WrapKek>,
-    /// Dedup map for `keks`: the `(node, key version)` identity of a
-    /// wrapping key → its slot.
-    kek_slots: HashMap<(NodeId, u64), usize>,
 }
 
 impl RekeyScratch {
     fn begin_batch(&mut self) {
         self.dirty.clear();
-        self.old_versions.clear();
+        self.old_keks.clear();
         self.vacancies.clear();
         self.created.clear();
-        self.path_nodes.clear();
-        self.path_spans.clear();
+        self.joiner_slots.clear();
+        self.joiner_leaves.clear();
+        self.joiners_under.clear();
         self.plan.clear();
         self.wrapped.clear();
-        self.keks.clear();
-        self.kek_slots.clear();
     }
-
-    fn old_version_of(&self, node: NodeId) -> Option<&(NodeId, u64, Key)> {
-        self.old_versions
-            .binary_search_by_key(&node, |&(n, _, _)| n)
-            .ok()
-            .map(|i| &self.old_versions[i])
-    }
-}
-
-/// Slot of the prepared [`WrapKek`] for the wrapping key identified by
-/// `(under, version)`, running the (HKDF + HMAC-schedule) setup only on
-/// the first entry planned under it. A free function over the two
-/// scratch fields so planning loops can call it while iterating other
-/// scratch buffers.
-fn kek_slot_for(
-    keks: &mut Vec<WrapKek>,
-    slots: &mut HashMap<(NodeId, u64), usize>,
-    under: NodeId,
-    version: u64,
-    key: &Key,
-) -> usize {
-    *slots.entry((under, version)).or_insert_with(|| {
-        keks.push(WrapKek::new(key));
-        keks.len() - 1
-    })
 }
 
 /// The key server for one logical key tree.
@@ -259,9 +251,10 @@ impl LkhServer {
     /// Serializes the server's durable state — epoch plus the full
     /// logical tree — onto `buf` (see [`KeyTree::encode_into`]).
     ///
-    /// Parallelism and the scratch arena are runtime tuning, not
-    /// state: a decoded server at any worker count emits the same
-    /// bytes, so neither is serialized.
+    /// Parallelism, the scratch arena and the prepared-KEK cache are
+    /// runtime tuning, not state: a decoded server at any worker count
+    /// rebuilds its KEKs on demand and emits the same bytes, so none is
+    /// serialized.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.push(SERVER_WIRE_VERSION);
         put_u64(buf, self.epoch);
@@ -408,7 +401,7 @@ impl LkhServer {
             let _span = rekey_obs::span!("rekey.plan");
             let pure_join = leaves.is_empty();
             if pure_join {
-                self.snapshot_old_versions();
+                self.take_old_keks();
             }
             for &node in &self.scratch.dirty {
                 self.tree.refresh_key(node, rng);
@@ -520,19 +513,31 @@ impl LkhServer {
         scratch.dirty.dedup();
         let tree = &self.tree;
         scratch.dirty.retain(|node| tree.key_of(*node).is_some());
+        // Node ids are allocated ascending, so this only makes the
+        // order `created` already has explicit for binary search.
+        scratch.created.sort_unstable();
         Ok(joined_leaves)
     }
 
-    /// Snapshots `(version, key)` of every dirty node before refresh.
-    /// Only pure-join batches wrap anything under a previous key, so
-    /// mixed/leave batches skip this copy entirely.
-    fn snapshot_old_versions(&mut self) {
+    /// Moves the pre-refresh KEK of every dirty node out of its node
+    /// cache (preparing it if absent). Only pure-join batches wrap
+    /// anything under a previous key, so mixed/leave batches skip this.
+    /// Nodes created by this batch's splits have no previous holders
+    /// and are skipped.
+    fn take_old_keks(&mut self) {
         let scratch = &mut self.scratch;
-        scratch.old_versions.reserve(scratch.dirty.len());
         for &node in &scratch.dirty {
-            let (key, version) = self.tree.key_of(node).expect("dirty node is alive");
-            // `dirty` is sorted, so `old_versions` is born sorted.
-            scratch.old_versions.push((node, version, key.clone()));
+            if scratch.created.binary_search(&node).is_ok() {
+                continue;
+            }
+            let (_, version) = self.tree.key_of(node).expect("dirty node is alive");
+            let slot = self.tree.slot_of(node).expect("dirty node is alive");
+            // `dirty` is sorted, so `old_keks` is born sorted.
+            scratch.old_keks.push(OldKek {
+                node,
+                version,
+                kek: self.tree.take_kek(slot),
+            });
         }
     }
 
@@ -540,21 +545,20 @@ impl LkhServer {
     /// refreshed key is encrypted under the current key of each of its
     /// children.
     fn plan_group_oriented_entries(&mut self) {
+        // Every child KEK is used, so prepare them all in one mutable
+        // pass; a child whose key survived since it was last prepared
+        // hits the cache.
+        for &node in &self.scratch.dirty {
+            self.tree.prepare_child_keks(node);
+        }
         let scratch = &mut self.scratch;
         let tree = &self.tree;
         for &node in &scratch.dirty {
             let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
             let depth = tree.depth_of(node).expect("dirty node is alive") as u32;
             for child in tree.children_of(node).expect("dirty node is alive") {
-                let kek_slot = kek_slot_for(
-                    &mut scratch.keks,
-                    &mut scratch.kek_slots,
-                    child.id,
-                    child.version,
-                    child.key,
-                );
                 scratch.plan.push(PlannedWrap {
-                    kek_slot,
+                    kek: KekRef::Node(child.slot),
                     payload: new_key.clone(),
                     nonce: [0; NONCE_LEN],
                     meta: EntryMeta {
@@ -575,20 +579,36 @@ impl LkhServer {
     /// Plans the §2.1 join procedure (pure-join batches): each
     /// refreshed key is encrypted under its own previous version plus
     /// under the individual key of each joiner beneath it.
+    ///
+    /// One upward walk per joiner fills a node→joiners index sorted by
+    /// `(node, joiner)`; the dirty nodes (also ascending) then read
+    /// their joiners off it in one merged pass, in joiner order. The
+    /// plan costs O(joins × depth), not O(dirty × joins × depth).
     fn plan_join_entries(&mut self, joined_leaves: &[(MemberId, NodeId)]) {
+        // Mutable pass: prepare every KEK the plan uses besides the old
+        // versions — the joiners' individual keys, and the children of
+        // the interior nodes created by splits.
         let scratch = &mut self.scratch;
-        let tree = &self.tree;
-
-        // Paths of the new members, computed once into the arena.
-        for (member, _) in joined_leaves {
-            let start = scratch.path_nodes.len();
-            tree.path_of_into(*member, &mut scratch.path_nodes)
-                .expect("member just joined");
-            scratch
-                .path_spans
-                .push((start, scratch.path_nodes.len() - start));
+        for &(_, leaf) in joined_leaves {
+            let slot = self.tree.slot_of(leaf).expect("fresh leaf is alive");
+            self.tree.prepare_kek(slot);
+            scratch.joiner_slots.push(slot);
+            scratch.joiner_leaves.push(leaf);
         }
+        for &node in &scratch.created {
+            self.tree.prepare_child_keks(node);
+        }
+        scratch.joiner_leaves.sort_unstable();
+        let tree = &self.tree;
+        for (joiner, &slot) in scratch.joiner_slots.iter().enumerate() {
+            scratch
+                .joiners_under
+                .extend(tree.ancestors(slot).map(|node| (node, joiner)));
+        }
+        scratch.joiners_under.sort_unstable();
 
+        // Both `dirty` and the index ascend, so one cursor walks the index.
+        let mut at = 0;
         for &node in &scratch.dirty {
             let (new_key, new_version) = tree.key_of(node).expect("dirty node is alive");
             let depth = tree.depth_of(node).expect("dirty node is alive") as u32;
@@ -596,65 +616,49 @@ impl LkhServer {
 
             // One entry under the node's own previous key: every
             // existing member below already holds it. A brand-new node
-            // (created by a leaf split) has no previous holders and
-            // skips this entry.
-            let old = scratch
-                .old_version_of(node)
-                .map(|&(_, v, ref k)| (v, k.clone()));
-            if let Some((old_version, old_key)) = old {
-                if old_version < new_version && !scratch.created.contains(&node) {
-                    let kek_slot = kek_slot_for(
-                        &mut scratch.keks,
-                        &mut scratch.kek_slots,
-                        node,
-                        old_version,
-                        &old_key,
-                    );
-                    scratch.plan.push(PlannedWrap {
-                        kek_slot,
-                        payload: new_key.clone(),
-                        nonce: [0; NONCE_LEN],
-                        meta: EntryMeta {
-                            target: node,
-                            target_version: new_version,
-                            under: node,
-                            under_version: old_version,
-                            under_is_leaf: false,
-                            recipient: None,
-                            audience,
-                            target_depth: depth,
-                        },
-                    });
-                }
+            // (created by a leaf split) has no previous holders and no
+            // old KEK.
+            if let Ok(i) = scratch.old_keks.binary_search_by_key(&node, |old| old.node) {
+                scratch.plan.push(PlannedWrap {
+                    kek: KekRef::Old(i),
+                    payload: new_key.clone(),
+                    nonce: [0; NONCE_LEN],
+                    meta: EntryMeta {
+                        target: node,
+                        target_version: new_version,
+                        under: node,
+                        under_version: scratch.old_keks[i].version,
+                        under_is_leaf: false,
+                        recipient: None,
+                        audience,
+                        target_depth: depth,
+                    },
+                });
             }
 
-            // One entry per joining member whose path contains `node`.
-            for ((member, leaf), &(start, len)) in joined_leaves.iter().zip(&scratch.path_spans) {
-                if scratch.path_nodes[start..start + len].contains(&node) {
-                    let (leaf_key, _) = tree.key_of(*leaf).expect("fresh leaf is alive");
-                    let kek_slot = kek_slot_for(
-                        &mut scratch.keks,
-                        &mut scratch.kek_slots,
-                        *leaf,
-                        0,
-                        leaf_key,
-                    );
-                    scratch.plan.push(PlannedWrap {
-                        kek_slot,
-                        payload: new_key.clone(),
-                        nonce: [0; NONCE_LEN],
-                        meta: EntryMeta {
-                            target: node,
-                            target_version: new_version,
-                            under: *leaf,
-                            under_version: 0,
-                            under_is_leaf: true,
-                            recipient: Some(*member),
-                            audience: 1,
-                            target_depth: depth,
-                        },
-                    });
-                }
+            // One entry per joining member whose path contains `node`,
+            // in join order: the index's run for `node`.
+            let rest = &scratch.joiners_under[at..];
+            let start = rest.partition_point(|&(n, _)| n < node);
+            let len = rest[start..].partition_point(|&(n, _)| n == node);
+            at += start + len;
+            for &(_, joiner) in &rest[start..start + len] {
+                let (member, leaf) = joined_leaves[joiner];
+                scratch.plan.push(PlannedWrap {
+                    kek: KekRef::Node(scratch.joiner_slots[joiner]),
+                    payload: new_key.clone(),
+                    nonce: [0; NONCE_LEN],
+                    meta: EntryMeta {
+                        target: node,
+                        target_version: new_version,
+                        under: leaf,
+                        under_version: 0,
+                        under_is_leaf: true,
+                        recipient: Some(member),
+                        audience: 1,
+                        target_depth: depth,
+                    },
+                });
             }
         }
 
@@ -665,18 +669,11 @@ impl LkhServer {
             let (new_key, new_version) = tree.key_of(node).expect("created node is alive");
             let depth = tree.depth_of(node).expect("created node is alive") as u32;
             for child in tree.children_of(node).expect("created node is alive") {
-                if joined_leaves.iter().any(|&(_, l)| l == child.id) {
+                if scratch.joiner_leaves.binary_search(&child.id).is_ok() {
                     continue; // already covered by per-joiner entries
                 }
-                let kek_slot = kek_slot_for(
-                    &mut scratch.keks,
-                    &mut scratch.kek_slots,
-                    child.id,
-                    child.version,
-                    child.key,
-                );
                 scratch.plan.push(PlannedWrap {
-                    kek_slot,
+                    kek: KekRef::Node(child.slot),
                     payload: new_key.clone(),
                     nonce: [0; NONCE_LEN],
                     meta: EntryMeta {
@@ -699,40 +696,41 @@ impl LkhServer {
     /// Output order (and bytes) is fixed by the plan regardless of the
     /// worker count.
     fn execute_plan(&mut self) -> Vec<RekeyEntry> {
-        let scratch = &mut self.scratch;
-        let jobs = scratch.plan.len();
+        let tree = &self.tree;
+        let RekeyScratch {
+            plan,
+            wrapped,
+            old_keks,
+            ..
+        } = &mut self.scratch;
+        let old_keks = &old_keks[..];
+        let jobs = plan.len();
         let workers = self.parallelism.min(jobs.max(1));
 
         if workers <= 1 || jobs < PARALLEL_MIN_JOBS {
-            let keks = &scratch.keks;
-            return scratch
-                .plan
+            return plan
                 .drain(..)
                 .map(|job| {
-                    let wrapped = job.execute(keks);
+                    let wrapped = job.execute(tree, old_keks);
                     job.into_entry(wrapped)
                 })
                 .collect();
         }
 
-        scratch.wrapped.resize(jobs, None);
+        wrapped.resize(jobs, None);
         let chunk = jobs.div_ceil(workers);
-        let plan = &scratch.plan;
-        let keks = &scratch.keks;
         std::thread::scope(|scope| {
-            for (in_chunk, out_chunk) in plan.chunks(chunk).zip(scratch.wrapped.chunks_mut(chunk)) {
+            for (in_chunk, out_chunk) in plan.chunks(chunk).zip(wrapped.chunks_mut(chunk)) {
                 scope.spawn(move || {
                     let _span = rekey_obs::span!("rekey.execute.worker");
                     for (job, slot) in in_chunk.iter().zip(out_chunk) {
-                        *slot = Some(job.execute(keks));
+                        *slot = Some(job.execute(tree, old_keks));
                     }
                 });
             }
         });
-        scratch
-            .plan
-            .drain(..)
-            .zip(scratch.wrapped.drain(..))
+        plan.drain(..)
+            .zip(wrapped.drain(..))
             .map(|(job, wrapped)| job.into_entry(wrapped.expect("worker filled its slots")))
             .collect()
     }
@@ -788,12 +786,12 @@ impl LkhServer {
     pub fn rekey_root_only<R: RngCore>(&mut self, rng: &mut R) -> RekeyMessage {
         self.epoch += 1;
         let root = self.tree.root_id();
-        let (old_key, old_version) = {
-            let (k, v) = self.tree.key_of(root).expect("root always exists");
-            (k.clone(), v)
-        };
+        let old_version = self.tree.root_version();
+        let old_kek = self
+            .tree
+            .take_kek(self.tree.slot_of(root).expect("root always exists"));
         let new_version = self.tree.refresh_key(root, rng);
-        let wrapped = keywrap::wrap(&old_key, self.tree.root_key(), rng);
+        let wrapped = old_kek.wrap(self.tree.root_key(), rng);
         RekeyMessage {
             epoch: self.epoch,
             entries: vec![RekeyEntry {
@@ -810,33 +808,25 @@ impl LkhServer {
         }
     }
 
-    /// Produces the entries delivering this tree's *current* root key
-    /// to a set of foreign key holders — used by managers to wrap a
-    /// group DEK under partition roots, or to deliver the root to
-    /// queue members. Exposed for composition; most callers want
-    /// [`LkhServer::apply_batch`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn wrap_root_under<R: RngCore>(
-        &self,
-        under: NodeId,
-        under_version: u64,
-        under_key: &Key,
-        under_is_leaf: bool,
-        recipient: Option<MemberId>,
-        audience: u32,
-        rng: &mut R,
-    ) -> RekeyEntry {
-        RekeyEntry {
-            target: self.tree.root_id(),
-            target_version: self.tree.root_version(),
-            under,
-            under_version,
-            under_is_leaf,
-            recipient,
-            audience,
-            target_depth: 0,
-            wrapped: keywrap::wrap(under_key, self.tree.root_key(), rng),
-        }
+    /// Prepares the current root key's KEK in the node cache (a no-op
+    /// while it is cached), so that [`LkhServer::root_kek`] borrows it.
+    /// Managers call this before wrapping a group DEK under tree roots.
+    pub fn prepare_root_kek(&mut self) {
+        let root = self.tree.slot_of(self.tree.root_id());
+        self.tree.prepare_kek(root.expect("root always exists"));
+    }
+
+    /// The current root key prepared for wrapping, borrowed from the
+    /// node cache.
+    ///
+    /// # Panics
+    /// If [`LkhServer::prepare_root_kek`] has not run since the root
+    /// key last changed.
+    pub fn root_kek(&self) -> &WrapKek {
+        let root = self.tree.slot_of(self.tree.root_id());
+        self.tree
+            .cached_kek(root.expect("root always exists"))
+            .expect("prepare_root_kek ran for this root key")
     }
 }
 
@@ -846,6 +836,7 @@ mod tests {
     use crate::member::GroupMember;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rekey_crypto::keywrap;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(1234)
@@ -1064,6 +1055,179 @@ mod tests {
             let (par_msg, par_stats) = build_msg(workers);
             assert_eq!(seq_msg, par_msg, "divergence at {workers} workers");
             assert_eq!(seq_stats, par_stats);
+        }
+    }
+
+    /// The prepared-KEK cache is runtime state only: a server
+    /// round-tripped through `encode_into`/`decode` (cold cache) emits
+    /// the same bytes as the never-serialized one (warm cache) on every
+    /// kind of batch that follows.
+    #[test]
+    fn decoded_server_emits_identical_bytes() {
+        let (mut warm, _, mut rng) = build_group(4, 64);
+        let joins: Vec<(MemberId, Key)> = (100..106)
+            .map(|i| (MemberId(i), Key::generate(&mut rng)))
+            .collect();
+        warm.apply_batch(&joins, &[MemberId(3), MemberId(40)], &mut rng);
+        warm.prepare_root_kek();
+        let mut bytes = Vec::new();
+        warm.encode_into(&mut bytes);
+        let mut cold = LkhServer::decode(&mut &bytes[..]).expect("decodes");
+        let mut again = Vec::new();
+        cold.encode_into(&mut again);
+        assert_eq!(bytes, again, "the KEK cache leaked into the encoding");
+
+        let encoded = |msg: &RekeyMessage| crate::message::codec::encode_message(msg);
+        for round in 0..4u64 {
+            let mut key_rng = StdRng::seed_from_u64(500 + round);
+            let joins: Vec<(MemberId, Key)> = (0..5)
+                .map(|i| (MemberId(1000 + round * 10 + i), Key::generate(&mut key_rng)))
+                .collect();
+            let leaves = match round {
+                0 | 2 => vec![],
+                _ => vec![MemberId(round * 7), MemberId(round * 7 + 1)],
+            };
+            let mut rng_warm = StdRng::seed_from_u64(round);
+            let mut rng_cold = StdRng::seed_from_u64(round);
+            let a = warm.apply_batch(&joins, &leaves, &mut rng_warm);
+            let b = cold.apply_batch(&joins, &leaves, &mut rng_cold);
+            assert_eq!(encoded(&a.message), encoded(&b.message), "round {round}");
+        }
+        let mut rng_warm = StdRng::seed_from_u64(99);
+        let mut rng_cold = StdRng::seed_from_u64(99);
+        assert_eq!(
+            encoded(&warm.rekey_root_only(&mut rng_warm)),
+            encoded(&cold.rekey_root_only(&mut rng_cold))
+        );
+    }
+
+    /// Entries of a pure-join batch, computed by brute force from the
+    /// tree before and after it: for every refreshed node (ascending),
+    /// one entry under its previous key unless the batch created it,
+    /// then one per joiner, in join order, whose path contains it; then,
+    /// for every created node, one per child that is not a joiner leaf;
+    /// finally a stable deepest-first sort. Returns each entry's wire
+    /// fields with its KEK and payload.
+    fn brute_force_join_entries(
+        before: &LkhServer,
+        after: &LkhServer,
+        joined_leaves: &[(MemberId, NodeId)],
+    ) -> Vec<(RekeyEntry, Key, Key)> {
+        let paths: Vec<Vec<NodeId>> = joined_leaves
+            .iter()
+            .map(|&(m, _)| after.tree().path_of(m).unwrap())
+            .collect();
+        let mut dirty: Vec<NodeId> = paths.iter().flatten().copied().collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        let created: Vec<NodeId> = dirty
+            .iter()
+            .copied()
+            .filter(|&n| before.tree().key_of(n).is_none())
+            .collect();
+        let placeholder = keywrap::wrap_with_nonce(
+            &Key::from_bytes([0; 32]),
+            &Key::from_bytes([0; 32]),
+            [0; 12],
+        );
+        let entry = |target: NodeId,
+                     under: NodeId,
+                     under_version: u64,
+                     under_is_leaf: bool,
+                     recipient: Option<MemberId>,
+                     audience: usize| {
+            let (_, target_version) = after.tree().key_of(target).unwrap();
+            RekeyEntry {
+                target,
+                target_version,
+                under,
+                under_version,
+                under_is_leaf,
+                recipient,
+                audience: audience as u32,
+                target_depth: after.tree().depth_of(target).unwrap() as u32,
+                wrapped: placeholder.clone(),
+            }
+        };
+        let mut out = Vec::new();
+        for &node in &dirty {
+            let payload = after.tree().key_of(node).unwrap().0.clone();
+            if !created.contains(&node) {
+                let (old_key, old_version) = before.tree().key_of(node).unwrap();
+                let audience = after.tree().leaf_count_under(node);
+                out.push((
+                    entry(node, node, old_version, false, None, audience),
+                    old_key.clone(),
+                    payload.clone(),
+                ));
+            }
+            for (&(member, leaf), path) in joined_leaves.iter().zip(&paths) {
+                if path.contains(&node) {
+                    let leaf_key = after.tree().key_of(leaf).unwrap().0.clone();
+                    out.push((
+                        entry(node, leaf, 0, true, Some(member), 1),
+                        leaf_key,
+                        payload.clone(),
+                    ));
+                }
+            }
+        }
+        for &node in &created {
+            let payload = after.tree().key_of(node).unwrap().0.clone();
+            for child in after.tree().children_of(node).unwrap() {
+                if joined_leaves.iter().any(|&(_, l)| l == child.id) {
+                    continue;
+                }
+                let child_key = after.tree().key_of(child.id).unwrap().0.clone();
+                out.push((
+                    entry(
+                        node,
+                        child.id,
+                        child.version,
+                        child.is_leaf,
+                        child.member,
+                        child.audience,
+                    ),
+                    child_key,
+                    payload.clone(),
+                ));
+            }
+        }
+        out.sort_by_key(|(e, _, _)| std::cmp::Reverse(e.target_depth));
+        out
+    }
+
+    /// The indexed §2.1 planner emits exactly the brute-force entries,
+    /// in the same order, on random small pure-join batches (including
+    /// bootstraps from an empty tree and batches that split leaves).
+    #[test]
+    fn indexed_join_plan_matches_brute_force() {
+        let mut next = 0u64;
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let degree = 2 + (seed % 3) as usize;
+            let mut server = LkhServer::new(degree, 0);
+            for _ in 0..3 {
+                let count = 1 + (rng.next_u32() % 24) as u64;
+                let joins: Vec<(MemberId, Key)> = (0..count)
+                    .map(|i| (MemberId(next + i), Key::generate(&mut rng)))
+                    .collect();
+                next += count;
+                let before = server.clone();
+                let outcome = server.apply_batch(&joins, &[], &mut rng);
+                let expected = brute_force_join_entries(&before, &server, &outcome.joined_leaves);
+                assert_eq!(outcome.message.entries.len(), expected.len(), "seed {seed}");
+                for (got, (want, kek, payload)) in outcome.message.entries.iter().zip(&expected) {
+                    let mut got_meta = got.clone();
+                    got_meta.wrapped = want.wrapped.clone();
+                    assert_eq!(&got_meta, want, "seed {seed}");
+                    assert_eq!(
+                        &keywrap::unwrap(kek, &got.wrapped).unwrap(),
+                        payload,
+                        "seed {seed}"
+                    );
+                }
+            }
         }
     }
 

@@ -15,6 +15,7 @@
 use crate::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
 use crate::{KeyTreeError, MemberId, NodeId};
 use rand::RngCore;
+use rekey_crypto::keywrap::WrapKek;
 use rekey_crypto::Key;
 use std::collections::HashMap;
 
@@ -33,6 +34,10 @@ struct Node {
     version: u64,
     /// Number of leaves in this node's subtree (1 for a leaf).
     leaf_count: usize,
+    /// `key` prepared for wrapping (sub-keys derived, MAC scheduled),
+    /// filled on first use as a KEK and dropped whenever `key` changes:
+    /// it lives exactly as long as one key version. Never serialized.
+    kek: Option<Box<WrapKek>>,
 }
 
 /// A balanced d-ary logical key tree.
@@ -81,6 +86,7 @@ impl KeyTree {
             key: Key::generate(rng),
             version: 0,
             leaf_count: 0,
+            kek: None,
         });
         tree
     }
@@ -200,9 +206,10 @@ impl KeyTree {
     /// root (inclusive) — exactly the auxiliary keys the member holds
     /// in addition to its individual key.
     pub fn path_of(&self, member: MemberId) -> Result<Vec<NodeId>, KeyTreeError> {
-        let mut path = Vec::new();
-        self.path_of_into(member, &mut path)?;
-        Ok(path)
+        let leaf = self
+            .leaf_of(member)
+            .ok_or(KeyTreeError::UnknownMember(member))?;
+        Ok(self.ancestors(self.index_of[&leaf]).collect())
     }
 
     /// All members in the subtree rooted at `node` (empty if the node
@@ -245,20 +252,18 @@ impl KeyTree {
         self.leaf_of.keys().copied()
     }
 
-    /// Iterates over the children of `node` with their current keys,
-    /// versions, and subtree member counts, or `None` if the node does
+    /// Iterates over the children of `node` with their slots (the
+    /// handle of their cached KEKs), key versions, and subtree member
+    /// counts, or `None` if the node does
     /// not exist. Allocation-free: the rekey engine walks every dirty
     /// node's children once per batch.
-    pub(crate) fn children_of(
-        &self,
-        node: NodeId,
-    ) -> Option<impl Iterator<Item = ChildInfo<'_>> + '_> {
+    pub(crate) fn children_of(&self, node: NodeId) -> Option<impl Iterator<Item = ChildInfo> + '_> {
         let &idx = self.index_of.get(&node)?;
         Some(self.node(idx).children.iter().map(move |&c| {
             let child = self.node(c);
             ChildInfo {
+                slot: c,
                 id: child.id,
-                key: &child.key,
                 version: child.version,
                 audience: child.leaf_count,
                 is_leaf: child.member.is_some(),
@@ -267,23 +272,11 @@ impl KeyTree {
         }))
     }
 
-    /// Appends the node ids on the path from the member's leaf
-    /// (exclusive) to the root (inclusive) onto `out` — the
-    /// allocation-free core of [`KeyTree::path_of`].
-    pub(crate) fn path_of_into(
-        &self,
-        member: MemberId,
-        out: &mut Vec<NodeId>,
-    ) -> Result<(), KeyTreeError> {
-        let leaf = self
-            .leaf_of(member)
-            .ok_or(KeyTreeError::UnknownMember(member))?;
-        let mut idx = self.index_of[&leaf];
-        while let Some(parent) = self.node(idx).parent {
-            idx = parent;
-            out.push(self.node(idx).id);
-        }
-        Ok(())
+    /// Ids of the ancestors of the node in `slot`, parent first, root
+    /// last.
+    pub(crate) fn ancestors(&self, slot: usize) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(self.node(slot).parent, |&idx| self.node(idx).parent)
+            .map(|idx| self.node(idx).id)
     }
 
     /// Installs a fresh random key at `node`, bumping its version.
@@ -298,8 +291,47 @@ impl KeyTree {
         let key = Key::generate(rng);
         let n = self.node_mut(idx);
         n.key = key;
+        n.kek = None;
         n.version += 1;
         n.version
+    }
+
+    /// Slot index of a live node: the handle of the prepared-KEK
+    /// accessors below, valid until the tree is next mutated.
+    pub(crate) fn slot_of(&self, node: NodeId) -> Option<usize> {
+        self.index_of.get(&node).copied()
+    }
+
+    /// Prepares the KEK of the key in `slot` unless it is cached.
+    pub(crate) fn prepare_kek(&mut self, slot: usize) {
+        let n = self.node_mut(slot);
+        if n.kek.is_none() {
+            n.kek = Some(Box::new(WrapKek::new(&n.key)));
+        }
+    }
+
+    /// Prepares the KEK of every child of `node`.
+    pub(crate) fn prepare_child_keks(&mut self, node: NodeId) {
+        let idx = self.index_of[&node];
+        for i in 0..self.node(idx).children.len() {
+            let child = self.node(idx).children[i];
+            self.prepare_kek(child);
+        }
+    }
+
+    /// The cached KEK of the key in `slot`, if prepared.
+    pub(crate) fn cached_kek(&self, slot: usize) -> Option<&WrapKek> {
+        self.node(slot).kek.as_deref()
+    }
+
+    /// Moves the KEK of the key in `slot` out of the cache (preparing
+    /// it if absent), for a caller about to refresh that key that must
+    /// still wrap under its current version.
+    pub(crate) fn take_kek(&mut self, slot: usize) -> Box<WrapKek> {
+        let n = self.node_mut(slot);
+        n.kek
+            .take()
+            .unwrap_or_else(|| Box::new(WrapKek::new(&n.key)))
     }
 
     /// Inserts a new member leaf holding `individual_key`.
@@ -358,6 +390,7 @@ impl KeyTree {
                 key: Key::generate(rng),
                 version: 0,
                 leaf_count: self.node(at).leaf_count,
+                kek: None,
             });
             let pos = self
                 .node(old_parent)
@@ -381,6 +414,7 @@ impl KeyTree {
             key: individual_key,
             version: leaf_key_version,
             leaf_count: 1,
+            kek: None,
         });
         self.node_mut(attach_parent).children.push(leaf_idx);
         self.leaf_of.insert(member, leaf_id);
@@ -440,6 +474,7 @@ impl KeyTree {
             key: individual_key,
             version: 0,
             leaf_count: 1,
+            kek: None,
         });
         self.node_mut(parent_idx).children.push(leaf_idx);
         self.leaf_of.insert(member, leaf_id);
@@ -649,6 +684,7 @@ impl KeyTree {
                 key: Key::from_bytes(*key_bytes),
                 version,
                 leaf_count: usize::from(member.is_some()),
+                kek: None,
             }));
         }
         // Children appear after their parents, so one reverse sweep
@@ -734,9 +770,9 @@ pub struct InsertOutcome {
 
 /// Per-child view used by the server when emitting rekey entries.
 #[derive(Debug)]
-pub(crate) struct ChildInfo<'a> {
+pub(crate) struct ChildInfo {
+    pub slot: usize,
     pub id: NodeId,
-    pub key: &'a Key,
     pub version: u64,
     pub audience: usize,
     pub is_leaf: bool,
@@ -748,6 +784,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rekey_crypto::keywrap;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
@@ -870,6 +907,54 @@ mod tests {
         let v1 = tree.refresh_key(root, &mut rng);
         assert_eq!(v1, v0 + 1);
         assert_ne!(tree.root_key(), &before);
+    }
+
+    #[test]
+    fn refresh_key_drops_cached_kek() {
+        let (mut tree, mut rng) = build(4, 8);
+        let root = tree.root_id();
+        let slot = tree.slot_of(root).unwrap();
+        let payload = Key::from_bytes([4; 32]);
+        let wrap_cached = |tree: &KeyTree| {
+            let wrapped = tree
+                .cached_kek(slot)
+                .unwrap()
+                .wrap_with_nonce(&payload, [3; 12]);
+            assert_eq!(
+                wrapped,
+                keywrap::wrap_with_nonce(tree.root_key(), &payload, [3; 12]),
+                "cached KEK is not the current key's"
+            );
+        };
+        tree.prepare_kek(slot);
+        wrap_cached(&tree);
+        tree.refresh_key(root, &mut rng);
+        assert!(tree.cached_kek(slot).is_none(), "refresh kept a stale KEK");
+        tree.prepare_kek(slot);
+        wrap_cached(&tree);
+        let taken = tree.take_kek(slot);
+        assert!(tree.cached_kek(slot).is_none());
+        assert_eq!(
+            taken.wrap_with_nonce(&payload, [5; 12]),
+            keywrap::wrap_with_nonce(tree.root_key(), &payload, [5; 12])
+        );
+    }
+
+    #[test]
+    fn kek_cache_is_not_serialized() {
+        let (mut tree, _) = build(3, 20);
+        let mut cold = Vec::new();
+        tree.encode_into(&mut cold);
+        for slot in 0..tree.slots.len() {
+            if tree.slots[slot].is_some() {
+                tree.prepare_kek(slot);
+            }
+        }
+        let mut warm = Vec::new();
+        tree.encode_into(&mut warm);
+        assert_eq!(cold, warm);
+        let decoded = KeyTree::decode(&mut &warm[..]).unwrap();
+        assert!(decoded.slots.iter().flatten().all(|n| n.kek.is_none()));
     }
 
     #[test]

@@ -124,37 +124,30 @@ pub fn total_time_ns(name: &str) -> u64 {
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
-    /// `None` when no recorder was installed at construction — the
-    /// guard is then fully inert.
-    start: Option<Instant>,
-    start_ns: u64,
+    /// [`now_ns`] at construction; `None` when no recorder was
+    /// installed then — the guard is then fully inert.
+    start_ns: Option<u64>,
 }
 
 impl SpanGuard {
     /// Starts a span named `name` if a global recorder is installed.
     #[inline]
     pub fn new(name: &'static str) -> Self {
-        if enabled() {
-            SpanGuard {
-                name,
-                start_ns: now_ns(),
-                start: Some(Instant::now()),
-            }
-        } else {
-            SpanGuard {
-                name,
-                start_ns: 0,
-                start: None,
-            }
+        SpanGuard {
+            name,
+            start_ns: enabled().then(now_ns),
         }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let dur_ns = start.elapsed().as_nanos() as u64;
-            with(|r| r.span(self.name, self.start_ns, dur_ns, thread_id()));
+        if let Some(start_ns) = self.start_ns {
+            // Both ends come from the one `now_ns` clock, so a span
+            // that closes inside another never appears to end after it
+            // (two clock reads per end could skew by their gap).
+            let dur_ns = now_ns().saturating_sub(start_ns);
+            with(|r| r.span(self.name, start_ns, dur_ns, thread_id()));
         }
     }
 }
