@@ -19,11 +19,10 @@
 
 use crate::appendix_a::child_sizes;
 use crate::math::p_update;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A population loss profile: fractions of members at each loss rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LossMix {
     /// `(fraction, loss probability)` pairs; fractions sum to 1.
     pub classes: Vec<(f64, f64)>,
@@ -147,7 +146,7 @@ fn subtree_ev(
 }
 
 /// One tree of a key forest: member count and loss profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForestTree {
     /// Members in this tree.
     pub size: u64,

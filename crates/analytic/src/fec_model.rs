@@ -34,10 +34,9 @@
 
 use crate::appendix_b::LossMix;
 use crate::math::binomial_distribution;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the proactive-FEC transport.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FecParams {
     /// Payload packets per FEC block (`k`).
     pub block_packets: u32,

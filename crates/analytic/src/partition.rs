@@ -12,11 +12,10 @@
 //! per-interval rekeying cost of each scheme (equations (8)–(10)).
 
 use crate::appendix_a::ne;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the two-partition evaluation (Table 1 defaults via
 /// [`PartitionParams::paper_default`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionParams {
     /// Group size `N`.
     pub group_size: u64,
@@ -158,7 +157,7 @@ impl PartitionParams {
 }
 
 /// Solution of the steady-state queueing system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteadyState {
     /// Join (and departure) rate per rekey interval, `J`.
     pub joins_per_period: f64,
@@ -183,7 +182,7 @@ pub struct SteadyState {
 }
 
 /// Per-interval rekey cost of each scheme, in encrypted keys.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeCosts {
     /// The unoptimized single balanced key tree.
     pub one_keytree: f64,

@@ -21,12 +21,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rekey_bench::emit::min_secs;
 use rekey_crypto::keywrap::{WrapKek, WRAPPED_LEN};
 use rekey_crypto::simd::{self, Backend};
 use rekey_crypto::{chacha20, sha256, Key};
 use rekey_transport::gf256;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Bulk-kernel buffer size: large enough that the multi-block ChaCha20
 /// lanes and the GF(256) vector loop dominate setup cost.
@@ -47,23 +47,12 @@ struct Row {
     keys_per_s: Option<f64>,
 }
 
-/// Minimum wall-clock of `REPS` runs of `f` (seconds).
-fn time_min<F: FnMut()>(mut f: F) -> f64 {
-    let mut min = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        f();
-        min = min.min(start.elapsed().as_secs_f64());
-    }
-    min
-}
-
 fn bench_chacha20(backend: Backend, rows: &mut Vec<Row>) {
     let key = [7u8; 32];
     let nonce = [9u8; 12];
     let mut buf = vec![0x5Au8; BUF_LEN];
     const ITERS: usize = 64;
-    let secs = time_min(|| {
+    let secs = min_secs(REPS, || {
         for i in 0..ITERS {
             chacha20::xor_in_place_with(backend, &key, &nonce, i as u32, &mut buf);
         }
@@ -81,7 +70,7 @@ fn bench_sha256(backend: Backend, rows: &mut Vec<Row>) {
     let data = vec![0xABu8; BUF_LEN];
     const ITERS: usize = 32;
     let mut sink = 0u8;
-    let secs = time_min(|| {
+    let secs = min_secs(REPS, || {
         for _ in 0..ITERS {
             sink ^= sha256::digest_with(backend, &data)[0];
         }
@@ -99,7 +88,7 @@ fn bench_gf256(backend: Backend, rows: &mut Vec<Row>) {
     let src: Vec<u8> = (0..BUF_LEN).map(|i| (i * 37 + 5) as u8).collect();
     let mut dst = vec![0xC3u8; BUF_LEN];
     const ITERS: usize = 128;
-    let secs = time_min(|| {
+    let secs = min_secs(REPS, || {
         for i in 0..ITERS {
             gf256::mul_acc_with(backend, &mut dst, &src, (i % 254 + 2) as u8);
         }
@@ -123,7 +112,7 @@ fn bench_keywrap(backend: Backend, rows: &mut Vec<Row>) {
     let kek = Key::generate(&mut rng);
     let payloads: Vec<Key> = (0..WRAP_KEYS).map(|_| Key::generate(&mut rng)).collect();
     let mut sink = 0u8;
-    let secs = time_min(|| {
+    let secs = min_secs(REPS, || {
         let cached = WrapKek::new(&kek);
         for (i, payload) in payloads.iter().enumerate() {
             let nonce = (i as u128).to_le_bytes()[..12]
@@ -154,7 +143,7 @@ fn bench_keywrap_distinct(backend: Backend, rows: &mut Vec<Row>) {
     let keks: Vec<Key> = (0..WRAP_KEYS).map(|_| Key::generate(&mut rng)).collect();
     let payloads: Vec<Key> = (0..WRAP_KEYS).map(|_| Key::generate(&mut rng)).collect();
     let mut sink = 0u8;
-    let secs = time_min(|| {
+    let secs = min_secs(REPS, || {
         for (i, (kek, payload)) in keks.iter().zip(&payloads).enumerate() {
             let nonce = (i as u128).to_le_bytes()[..12]
                 .try_into()

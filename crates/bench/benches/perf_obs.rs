@@ -14,10 +14,10 @@
 //! Measured per (probe, state): minimum of `REPS` wall-clock runs over
 //! a large iteration count, divided down to ns/op.
 
+use rekey_bench::emit::min_secs;
 use rekey_obs::{Collector, FlightKind, FlightRecorder};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
 const REPS: usize = 5;
 /// Iterations per timed rep; large enough that `Instant` overhead and
@@ -31,14 +31,8 @@ struct Row {
 }
 
 /// Minimum over `REPS` runs of `f` (whole-run seconds), as ns/op.
-fn time_min_ns_per_op<F: FnMut()>(mut f: F) -> f64 {
-    let mut min = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        f();
-        min = min.min(start.elapsed().as_secs_f64());
-    }
-    min * 1e9 / ITERS as f64
+fn time_min_ns_per_op<F: FnMut()>(f: F) -> f64 {
+    min_secs(REPS, f) * 1e9 / ITERS as f64
 }
 
 fn bench_probes(state: &'static str, rows: &mut Vec<Row>) {

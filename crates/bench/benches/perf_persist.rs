@@ -20,13 +20,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rekey_bench::emit::min_secs;
 use rekey_core::persist::EpochRecord;
 use rekey_core::{GroupKeyManager, Join, Journal, Scheme, SchemeConfig};
 use rekey_crypto::Key;
 use rekey_keytree::MemberId;
 use rekey_storage::{DirStorage, MemStorage, Storage};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 const REPS: usize = 3;
 const MEM_WAL_RECORDS: usize = 50_000;
@@ -34,16 +34,6 @@ const DIR_WAL_RECORDS: usize = 200;
 const SNAPSHOT_SIZES: [u64; 3] = [256, 1024, 4096];
 const REPLAY_BOOTSTRAP: u64 = 512;
 const REPLAY_RECORDS: usize = 64;
-
-fn min_secs<F: FnMut()>(mut f: F) -> f64 {
-    let mut min = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        f();
-        min = min.min(start.elapsed().as_secs_f64());
-    }
-    min
-}
 
 /// A representative epoch record: 2 joins with hints, 1 leave.
 fn sample_record(rng: &mut StdRng) -> Vec<u8> {
@@ -73,7 +63,7 @@ fn bench_wal(rng: &mut StdRng) -> Vec<WalRow> {
     let record = sample_record(rng);
     let mut rows = Vec::new();
 
-    let secs = min_secs(|| {
+    let secs = min_secs(REPS, || {
         let mut storage = MemStorage::new();
         for _ in 0..MEM_WAL_RECORDS {
             storage.append_wal(&record).expect("append");
@@ -90,7 +80,7 @@ fn bench_wal(rng: &mut StdRng) -> Vec<WalRow> {
     });
 
     let dir = scratch_dir("wal");
-    let secs = min_secs(|| {
+    let secs = min_secs(REPS, || {
         // Fresh file per rep so appends never compound across reps.
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -144,7 +134,7 @@ fn bench_snapshot(rng: &mut StdRng) -> Vec<SnapshotRow> {
     for members in SNAPSHOT_SIZES {
         let manager = populated_manager(members, rng);
         let mut journal = Journal::new(MemStorage::new(), 0);
-        let write_s = min_secs(|| {
+        let write_s = min_secs(REPS, || {
             journal.snapshot(manager.as_ref(), rng).expect("snapshot");
         });
         let blob = journal
@@ -152,7 +142,7 @@ fn bench_snapshot(rng: &mut StdRng) -> Vec<SnapshotRow> {
             .snapshot_bytes()
             .expect("snapshot written");
 
-        let load_s = min_secs(|| {
+        let load_s = min_secs(REPS, || {
             let mut restored = build_manager();
             let mut journal =
                 Journal::new(MemStorage::from_parts(Vec::new(), Some(blob.clone())), 0);
@@ -200,7 +190,7 @@ fn bench_recovery(rng: &mut StdRng) -> RecoveryRow {
     let storage = journal.into_storage();
     let wal = storage.wal_bytes().to_vec();
 
-    let replay_s = min_secs(|| {
+    let replay_s = min_secs(REPS, || {
         let mut restored = build_manager();
         let mut journal = Journal::new(MemStorage::from_parts(wal.clone(), None), 0);
         let recovery = journal.recover(restored.as_mut()).expect("recover");

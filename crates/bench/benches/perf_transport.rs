@@ -1,9 +1,14 @@
-//! Criterion benchmarks for the reliable-transport substrate:
-//! Reed–Solomon coding and a full WKA-BKR delivery round.
+//! Reliable-transport benchmark: Reed–Solomon coding, a full WKA-BKR
+//! delivery round, and interest-map construction.
+//!
+//! Each case runs `ITERS` operations per rep and reports the minimum
+//! of `REPS` reps ([`min_secs`]) per operation. Prints a table; writes
+//! no report file.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rekey_bench::emit::min_secs;
+use rekey_bench::{fmt, print_table};
 use rekey_crypto::Key;
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::MemberId;
@@ -12,17 +17,37 @@ use rekey_transport::loss::Population;
 use rekey_transport::rs::ReedSolomon;
 use rekey_transport::wka_bkr::{self, WkaBkrConfig};
 
-fn bench_reed_solomon(c: &mut Criterion) {
+const REPS: usize = 5;
+const ITERS: usize = 50;
+
+/// Seconds per operation: the fastest rep of `ITERS` calls of `op`.
+fn per_op<O>(mut op: impl FnMut() -> O) -> f64 {
+    min_secs(REPS, || {
+        for _ in 0..ITERS {
+            std::hint::black_box(op());
+        }
+    }) / ITERS as f64
+}
+
+fn main() {
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut row = |name: &str, secs: f64, bytes: Option<usize>| {
+        let mb_per_s = bytes.map_or("-".to_string(), |b| fmt(b as f64 / secs / 1e6, 1));
+        rows.push(vec![name.to_string(), fmt(secs * 1e6, 1), mb_per_s]);
+    };
+
     let mut rng = StdRng::seed_from_u64(1);
     let (k, m, shard_len) = (8usize, 4usize, 1400usize);
     let data: Vec<Vec<u8>> = (0..k)
         .map(|_| (0..shard_len).map(|_| rng.gen()).collect())
         .collect();
     let rs = ReedSolomon::new(k, m);
-
-    let mut group = c.benchmark_group("reed_solomon");
-    group.throughput(Throughput::Bytes((k * shard_len) as u64));
-    group.bench_function("encode_8+4_1400B", |b| b.iter(|| rs.encode(&data)));
+    let payload = Some(k * shard_len);
+    row(
+        "reed_solomon/encode_8+4_1400B",
+        per_op(|| rs.encode(&data)),
+        payload,
+    );
 
     let parity = rs.encode(&data);
     let mut shards: Vec<Option<Vec<u8>>> = data
@@ -34,13 +59,12 @@ fn bench_reed_solomon(c: &mut Criterion) {
     shards[0] = None;
     shards[3] = None;
     shards[5] = None;
-    group.bench_function("reconstruct_3_erasures", |b| {
-        b.iter(|| rs.reconstruct(&shards).unwrap())
-    });
-    group.finish();
-}
+    row(
+        "reed_solomon/reconstruct_3_erasures",
+        per_op(|| rs.reconstruct(&shards).unwrap()),
+        payload,
+    );
 
-fn bench_wka_delivery(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let mut server = LkhServer::new(4, 0);
     let joins: Vec<(MemberId, Key)> = (0..1024)
@@ -56,9 +80,10 @@ fn bench_wka_delivery(c: &mut Criterion) {
     let interest = interest_map(&out.message, |n, out| server.members_under_into(n, out));
     let pop = Population::homogeneous(&present, 0.05);
 
-    c.bench_function("wka_bkr_delivery_n1024_l16_p5", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
+    let mut seed = 0u64;
+    row(
+        "wka_bkr_delivery_n1024_l16_p5",
+        per_op(|| {
             seed += 1;
             let mut rng = StdRng::seed_from_u64(seed);
             wka_bkr::deliver(
@@ -68,13 +93,18 @@ fn bench_wka_delivery(c: &mut Criterion) {
                 &WkaBkrConfig::default(),
                 &mut rng,
             )
-        })
-    });
+        }),
+        None,
+    );
+    row(
+        "interest_map_n1024",
+        per_op(|| interest_map(&out.message, |n, out| server.members_under_into(n, out))),
+        None,
+    );
 
-    c.bench_function("interest_map_n1024", |b| {
-        b.iter(|| interest_map(&out.message, |n, out| server.members_under_into(n, out)))
-    });
+    print_table(
+        &format!("transport operations (min of {REPS} reps x {ITERS} ops)"),
+        &["bench", "us/op", "MB/s"],
+        &rows,
+    );
 }
-
-criterion_group!(benches, bench_reed_solomon, bench_wka_delivery);
-criterion_main!(benches);

@@ -1,7 +1,9 @@
-//! Shared emit helpers for the `BENCH_*.json` reports.
+//! Shared timing and emit helpers for the perf benches and their
+//! `BENCH_*.json` reports.
 //!
-//! Every perf bench (and the `rekey workload` sweep) writes a
-//! hand-rolled JSON report with the same host-context header:
+//! Every perf bench times its kernels with [`min_secs`], and every
+//! perf bench that writes a report (and the `rekey workload` sweep)
+//! emits a hand-rolled JSON report with the same host-context header:
 //! `available_parallelism`, `rustc`, and the externally supplied
 //! `BENCH_TIMESTAMP`. The escaping, toolchain probing, and header
 //! layout used to be copy-pasted per bench; this module is the single
@@ -9,6 +11,19 @@
 //! committed `BENCH_*.json` files exactly.
 
 use std::fmt::Write as _;
+use std::time::Instant;
+
+/// Minimum wall-clock seconds over `reps` runs of `f`: the least
+/// disturbed run on a shared host.
+pub fn min_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+    let mut min = f64::INFINITY;
+    for _ in 0..reps {
+        let start = Instant::now();
+        f();
+        min = min.min(start.elapsed().as_secs_f64());
+    }
+    min
+}
 
 /// Escapes a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -98,6 +113,14 @@ impl HostContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn min_secs_runs_every_rep() {
+        let mut runs = 0;
+        let secs = min_secs(3, || runs += 1);
+        assert_eq!(runs, 3);
+        assert!(secs.is_finite() && secs >= 0.0);
+    }
 
     #[test]
     fn escape_handles_specials() {

@@ -729,13 +729,6 @@ fn cmd_serve(args: &Args) -> CliResult {
     let data_dir = path_flag(args, "data-dir")?;
     let snapshot_every: u64 = args.get_parsed_or("snapshot-every", 8u64)?;
     let churn: bool = args.get_bool_or("churn", false)?;
-    if data_dir.is_some() && scheme == Scheme::Adaptive {
-        return Err(
-            "the adaptive scheme cannot serialize its state; --data-dir requires a \
-                    fixed scheme"
-                .into(),
-        );
-    }
 
     // The daemon records into this collector directly; installing it
     // globally as well merges the in-process smoke clients' and

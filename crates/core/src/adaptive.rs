@@ -15,12 +15,14 @@
 
 use crate::one_tree::OneTreeManager;
 use crate::partition::{QtManager, TtManager};
+use crate::persist::{check_state_header, get_hint, put_hint, put_state_header, PersistError};
 use crate::{GroupKeyManager, IntervalOutcome, Join, JoinHint};
 use rand::RngCore;
 use rekey_analytic::partition::PartitionParams;
 use rekey_crypto::Key;
+use rekey_keytree::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Fitted two-class exponential mixture (the model of §3.3.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,10 +38,13 @@ pub struct MixtureEstimate {
 }
 
 /// Collects join/leave timestamps and fits the duration mixture.
+///
+/// Both containers are ordered, so equal collectors serialize to
+/// equal bytes.
 #[derive(Debug, Clone, Default)]
 pub struct TraceCollector {
-    active: HashMap<MemberId, f64>,
-    durations: Vec<f64>,
+    active: BTreeMap<MemberId, f64>,
+    durations: VecDeque<f64>,
     capacity: usize,
 }
 
@@ -49,8 +54,8 @@ impl TraceCollector {
     /// session).
     pub fn new(capacity: usize) -> Self {
         TraceCollector {
-            active: HashMap::new(),
-            durations: Vec::new(),
+            active: BTreeMap::new(),
+            durations: VecDeque::new(),
             capacity: capacity.max(4),
         }
     }
@@ -66,15 +71,51 @@ impl TraceCollector {
         if let Some(joined) = self.active.remove(&member) {
             let d = (t - joined).max(1e-6);
             if self.durations.len() == self.capacity {
-                self.durations.remove(0);
+                self.durations.pop_front();
             }
-            self.durations.push(d);
+            self.durations.push_back(d);
         }
     }
 
     /// Completed-duration sample count.
     pub fn sample_count(&self) -> usize {
         self.durations.len()
+    }
+
+    /// Serializes the completed durations and the open joins (`f64`s
+    /// as their bits). The capacity is configuration and is not
+    /// written.
+    fn save(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.durations.len() as u32);
+        for d in &self.durations {
+            put_u64(buf, d.to_bits());
+        }
+        put_u32(buf, self.active.len() as u32);
+        for (member, joined) in &self.active {
+            put_u64(buf, member.0);
+            put_u64(buf, joined.to_bits());
+        }
+    }
+
+    /// Decodes a collector written by [`TraceCollector::save`] into one
+    /// of `capacity`, advancing `buf` past it.
+    fn load(buf: &mut &[u8], capacity: usize) -> Option<TraceCollector> {
+        let count = get_u32(buf)? as usize;
+        if count > capacity {
+            return None;
+        }
+        let durations = (0..count)
+            .map(|_| get_u64(buf).map(f64::from_bits))
+            .collect::<Option<_>>()?;
+        let open = get_u32(buf)?;
+        let active = (0..open)
+            .map(|_| Some((MemberId(get_u64(buf)?), f64::from_bits(get_u64(buf)?))))
+            .collect::<Option<_>>()?;
+        Some(TraceCollector {
+            active,
+            durations,
+            capacity,
+        })
     }
 
     /// Fits the two-class mixture. Returns `None` with fewer than 8
@@ -280,6 +321,16 @@ pub struct AdaptiveManager {
     parallelism: usize,
 }
 
+/// The adaptive fields of a state blob, decoded before any of them is
+/// committed.
+struct Header {
+    choice: SchemeChoice,
+    generation: u32,
+    intervals: u64,
+    collector: TraceCollector,
+    registry: BTreeMap<MemberId, (Key, JoinHint)>,
+}
+
 impl AdaptiveManager {
     /// Creates an adaptive manager with tree degree `degree` that
     /// re-evaluates the model every `reassess_every` intervals of
@@ -316,6 +367,36 @@ impl AdaptiveManager {
     /// Number of scheme switches performed so far.
     pub fn generation(&self) -> u32 {
         self.generation
+    }
+
+    /// Decodes the header [`GroupKeyManager::save_state`] writes after
+    /// the scheme name, advancing `buf` to the inner manager's blob.
+    fn decode_header(buf: &mut &[u8], capacity: usize) -> Option<Header> {
+        let choice = match (get_u8(buf)?, get_u32(buf)?) {
+            (0, 0) => SchemeChoice::OneKeytree,
+            (1, k) if k > 0 => SchemeChoice::Tt { k },
+            (2, k) if k > 0 => SchemeChoice::Qt { k },
+            _ => return None,
+        };
+        let generation = get_u32(buf)?;
+        let intervals = get_u64(buf)?;
+        let collector = TraceCollector::load(buf, capacity)?;
+        let members = get_u32(buf)?;
+        let registry = (0..members)
+            .map(|_| {
+                let member = MemberId(get_u64(buf)?);
+                let (key, rest) = buf.split_first_chunk::<32>()?;
+                *buf = rest;
+                Some((member, (Key::from_bytes(*key), get_hint(buf)?)))
+            })
+            .collect::<Option<_>>()?;
+        Some(Header {
+            choice,
+            generation,
+            intervals,
+            collector,
+            registry,
+        })
     }
 
     /// Builds a fresh manager for `choice` in the next generation's
@@ -402,6 +483,10 @@ impl GroupKeyManager for AdaptiveManager {
         };
         outcome.stats.joins = joins.len();
         outcome.stats.leaves = leaves.len();
+        // A fresh generation's engine counts epochs from 1 again; the
+        // stream keeps counting across switches, so journals and
+        // clients see one contiguous sequence.
+        outcome.message.epoch = self.intervals + 1;
 
         // Bookkeeping after the interval succeeded.
         let t = self.intervals as f64 * self.rekey_period;
@@ -439,16 +524,58 @@ impl GroupKeyManager for AdaptiveManager {
         self.inner.contains(member)
     }
 
-    fn members_under(&self, node: NodeId) -> Vec<MemberId> {
-        self.inner.members_under(node)
-    }
-
     fn members_under_into(&self, node: NodeId, out: &mut Vec<MemberId>) {
         self.inner.members_under_into(node, out);
     }
 
     fn scheme_name(&self) -> &'static str {
         "adaptive"
+    }
+
+    /// Writes the adaptive header — scheme name, choice (tag + `k`),
+    /// generation, interval count, the collector, and the registry of
+    /// member → (key, hint) — followed by the active inner manager's
+    /// own state blob.
+    fn save_state(&self, buf: &mut Vec<u8>) -> Result<(), PersistError> {
+        put_state_header(buf, self.scheme_name());
+        let (tag, k) = match self.choice {
+            SchemeChoice::OneKeytree => (0, 0),
+            SchemeChoice::Tt { k } => (1, k),
+            SchemeChoice::Qt { k } => (2, k),
+        };
+        buf.push(tag);
+        put_u32(buf, k);
+        put_u32(buf, self.generation);
+        put_u64(buf, self.intervals);
+        self.collector.save(buf);
+        put_u32(buf, self.registry.len() as u32);
+        for (member, (key, hint)) in &self.registry {
+            put_u64(buf, member.0);
+            buf.extend_from_slice(key.as_bytes());
+            put_hint(buf, hint);
+        }
+        self.inner.save_state(buf)
+    }
+
+    /// Rebuilds the inner manager of the recorded choice and
+    /// generation, restores the tail into it, and only then commits;
+    /// a blob that fails to parse leaves the manager untouched.
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
+        let mut buf = bytes;
+        check_state_header(&mut buf, self.scheme_name())?;
+        let header =
+            Self::decode_header(&mut buf, self.collector.capacity).ok_or(PersistError::Codec {
+                what: "adaptive state",
+            })?;
+        let mut inner = self.build(header.choice, header.generation);
+        inner.restore_state(buf)?;
+        self.inner = inner;
+        self.choice = header.choice;
+        self.generation = header.generation;
+        self.intervals = header.intervals;
+        self.collector = header.collector;
+        self.registry = header.registry;
+        Ok(())
     }
 }
 
@@ -562,18 +689,16 @@ mod tests {
         assert_eq!(tc.sample_count(), 8);
     }
 
+    use crate::DurationClass;
     use rekey_keytree::member::GroupMember;
+    use rekey_keytree::message::codec::encode_message;
     use std::collections::BTreeMap as Map;
 
-    /// Drives an [`AdaptiveManager`] with full receiver states across
-    /// a scheme switch: members must stay DEK-synchronized through the
-    /// rebuild, and reported stats must keep the caller's counts.
-    #[test]
-    fn switch_preserves_member_sync() {
-        let mut rng = StdRng::seed_from_u64(77);
+    /// An adaptive manager reassessing every interval that pretends a
+    /// long, clearly bimodal duration trace was already observed, so
+    /// the first reassessment recommends partitioning.
+    fn bimodal_manager() -> AdaptiveManager {
         let mut mgr = AdaptiveManager::new(4, 60.0, 1, 20);
-        // Pretend a long, clearly bimodal duration trace was already
-        // observed, so the first reassessment recommends partitioning.
         for i in 0..1000u64 {
             let m = MemberId(1_000_000 + i);
             mgr.collector.record_join(m, 0.0);
@@ -581,6 +706,22 @@ mod tests {
             mgr.collector.record_leave(m, d);
         }
         assert!(mgr.collector.estimate().is_some(), "trace must be bimodal");
+        mgr
+    }
+
+    fn state_of(mgr: &dyn GroupKeyManager) -> Vec<u8> {
+        let mut blob = Vec::new();
+        mgr.save_state(&mut blob).unwrap();
+        blob
+    }
+
+    /// Drives an [`AdaptiveManager`] with full receiver states across
+    /// a scheme switch: members must stay DEK-synchronized through the
+    /// rebuild, and reported stats must keep the caller's counts.
+    #[test]
+    fn switch_preserves_member_sync() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut mgr = bimodal_manager();
 
         let mut states: Map<MemberId, GroupMember> = Map::new();
         let joins: Vec<Join> = (0..300u64)
@@ -658,5 +799,106 @@ mod tests {
         // The failed batches left no trace: the member is still there.
         assert!(mgr.contains(MemberId(1)));
         assert_eq!(mgr.member_count(), 1);
+    }
+
+    /// A snapshot taken after any interval — before the first switch,
+    /// right before one, or after one — restores into a fresh manager
+    /// that encodes the next interval to the same bytes as the
+    /// uninterrupted manager, and re-saves to the same blob.
+    #[test]
+    fn snapshot_restore_continues_byte_identically_across_switches() {
+        let mut rng = StdRng::seed_from_u64(78);
+        let mut mgr = bimodal_manager();
+        let mut restored_switches = 0;
+        let mut restored_after_switch = 0;
+        let mut next_id = 0u64;
+        for step in 0..8u64 {
+            let joining = if step == 0 { 300 } else { 3 };
+            let joins: Vec<Join> = (0..joining)
+                .map(|_| {
+                    next_id += 1;
+                    let hint = Join::new(MemberId(next_id), Key::generate(&mut rng));
+                    if next_id.is_multiple_of(2) {
+                        hint.with_loss_rate(0.01 * step as f64)
+                    } else {
+                        hint.with_class(DurationClass::Long)
+                    }
+                })
+                .collect();
+            let leaves: Vec<MemberId> = if step == 0 {
+                Vec::new()
+            } else {
+                vec![MemberId(step * 7), MemberId(step * 7 + 1)]
+            };
+
+            let blob = state_of(&mgr);
+            let mut restored = AdaptiveManager::new(4, 60.0, 1, 20);
+            restored.restore_state(&blob).unwrap();
+            assert_eq!(state_of(&restored), blob, "step {step}: blob not canonical");
+
+            let generation = mgr.generation();
+            let mut rng_b = rng.clone();
+            let a = mgr.process_interval(&joins, &leaves, &mut rng).unwrap();
+            let b = restored
+                .process_interval(&joins, &leaves, &mut rng_b)
+                .unwrap();
+            assert_eq!(a.message.epoch, step + 1, "epochs run on across switches");
+            assert_eq!(
+                encode_message(&a.message),
+                encode_message(&b.message),
+                "step {step}: restored manager diverged"
+            );
+            assert_eq!(a.stats, b.stats);
+            assert_eq!(restored.current_choice(), mgr.current_choice());
+            restored_switches += usize::from(mgr.generation() > generation);
+            restored_after_switch += usize::from(generation > 0);
+        }
+        assert!(
+            restored_switches > 0,
+            "no restored manager switched on its first interval"
+        );
+        assert!(restored_after_switch > 0, "no snapshot after a switch");
+    }
+
+    #[test]
+    fn foreign_blobs_are_scheme_mismatches() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let joins = vec![Join::new(MemberId(1), Key::generate(&mut rng))];
+        let mut tt = TtManager::new(4, 10);
+        tt.process_interval(&joins, &[], &mut rng).unwrap();
+        let mut adaptive = AdaptiveManager::paper_default(4);
+        adaptive.process_interval(&joins, &[], &mut rng).unwrap();
+
+        assert!(matches!(
+            AdaptiveManager::paper_default(4).restore_state(&state_of(&tt)),
+            Err(PersistError::SchemeMismatch { .. })
+        ));
+        assert!(matches!(
+            TtManager::new(4, 10).restore_state(&state_of(&adaptive)),
+            Err(PersistError::SchemeMismatch { .. })
+        ));
+    }
+
+    /// Restore commits nothing until the whole blob has parsed.
+    #[test]
+    fn bad_blob_leaves_manager_untouched() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut source = bimodal_manager();
+        let joins: Vec<Join> = (0..20u64)
+            .map(|i| Join::new(MemberId(i), Key::generate(&mut rng)))
+            .collect();
+        source.process_interval(&joins, &[], &mut rng).unwrap();
+        source
+            .process_interval(&[], &[MemberId(3)], &mut rng)
+            .unwrap();
+        let blob = state_of(&source);
+
+        let mut target = AdaptiveManager::new(4, 60.0, 1, 20);
+        target.process_interval(&joins[..5], &[], &mut rng).unwrap();
+        let before = state_of(&target);
+        for cut in (0..blob.len()).step_by(7) {
+            assert!(target.restore_state(&blob[..cut]).is_err(), "cut {cut}");
+            assert_eq!(state_of(&target), before, "cut {cut} mutated the manager");
+        }
     }
 }

@@ -40,7 +40,7 @@
 //! The whole interval runs under a `rekey.batch` span.
 
 use crate::dek::DekState;
-use crate::persist::PersistError;
+use crate::persist::{check_state_header, put_state_header, PersistError};
 use crate::{GroupKeyManager, IntervalOutcome, IntervalStats, Join};
 use rand::RngCore;
 use rekey_crypto::keywrap::WrapKek;
@@ -50,7 +50,8 @@ use rekey_keytree::message::{RekeyEntry, RekeyMessage};
 use rekey_keytree::server::{BatchOutcome, LkhServer, PlannedBatch};
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
 
-/// Version byte leading a serialized [`RekeyEngine`] state blob.
+/// Version byte leading every manager state blob: a serialized
+/// [`RekeyEngine`] and the adaptive manager's header alike.
 pub const ENGINE_WIRE_VERSION: u8 = 1;
 
 /// Below this many planned encryptions (summed over all trees) the
@@ -329,8 +330,8 @@ pub trait PlacementPolicy {
 /// One named tree owned by the engine.
 #[derive(Debug, Clone)]
 struct TreeSlot {
-    /// `rekey.tree.<name>` — leaked once at registration so obs spans
-    /// (which require `&'static str`) can carry the tree name.
+    /// `rekey.tree.<name>`, interned so obs spans (which require
+    /// `&'static str`) can carry the tree name.
     span_name: &'static str,
     server: LkhServer,
 }
@@ -375,9 +376,7 @@ impl<P: PlacementPolicy> RekeyEngine<P> {
         let trees = trees
             .into_iter()
             .map(|(name, server)| TreeSlot {
-                // One-time leak per tree registration: obs span names
-                // must be 'static, and engines live for the process.
-                span_name: Box::leak(format!("rekey.tree.{name}").into_boxed_str()),
+                span_name: rekey_obs::intern(&format!("rekey.tree.{name}")),
                 server,
             })
             .collect();
@@ -619,12 +618,6 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
             || self.trees.iter().any(|slot| slot.server.contains(member))
     }
 
-    fn members_under(&self, node: NodeId) -> Vec<MemberId> {
-        let mut out = Vec::new();
-        self.members_under_into(node, &mut out);
-        out
-    }
-
     fn members_under_into(&self, node: NodeId, out: &mut Vec<MemberId>) {
         if let Some(dek) = &self.dek {
             if node == dek.node {
@@ -654,10 +647,7 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
     }
 
     fn save_state(&self, buf: &mut Vec<u8>) -> Result<(), PersistError> {
-        buf.push(ENGINE_WIRE_VERSION);
-        let name = self.policy.scheme_name();
-        put_u32(buf, name.len() as u32);
-        buf.extend_from_slice(name.as_bytes());
+        put_state_header(buf, self.policy.scheme_name());
         put_u64(buf, self.epoch);
         match &self.dek {
             Some(dek) => {
@@ -679,22 +669,7 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         let bad = |what: &'static str| PersistError::Codec { what };
         let mut buf = bytes;
-        if get_u8(&mut buf).ok_or(bad("engine state"))? != ENGINE_WIRE_VERSION {
-            return Err(bad("engine state version"));
-        }
-        let name_len = get_u32(&mut buf).ok_or(bad("scheme name"))? as usize;
-        if buf.len() < name_len {
-            return Err(bad("scheme name"));
-        }
-        let (name, rest) = buf.split_at(name_len);
-        buf = rest;
-        let expected = self.policy.scheme_name();
-        if name != expected.as_bytes() {
-            return Err(PersistError::SchemeMismatch {
-                expected: expected.to_string(),
-                found: String::from_utf8_lossy(name).into_owned(),
-            });
-        }
+        check_state_header(&mut buf, self.policy.scheme_name())?;
         let epoch = get_u64(&mut buf).ok_or(bad("engine epoch"))?;
         // The DEK layering is configuration; the blob must agree with
         // how this engine was built before its key material is taken.
@@ -731,5 +706,24 @@ impl<P: PlacementPolicy> GroupKeyManager for RekeyEngine<P> {
         }
         self.epoch = epoch;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::partition::TtManager;
+
+    #[test]
+    fn engines_share_interned_span_names() {
+        let a = TtManager::new(4, 10);
+        let b = TtManager::new(4, 10);
+        assert_eq!(a.trees[0].span_name, "rekey.tree.s");
+        for (x, y) in a.trees.iter().zip(&b.trees) {
+            assert!(
+                std::ptr::eq(x.span_name, y.span_name),
+                "{} leaked twice",
+                x.span_name
+            );
+        }
     }
 }

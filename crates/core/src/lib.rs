@@ -239,18 +239,18 @@ pub trait GroupKeyManager {
     /// Whether `member` is currently in the group.
     fn contains(&self, member: MemberId) -> bool;
 
-    /// Audience oracle: the members holding the key of `node` —
-    /// drives the transport layer's interest maps.
-    fn members_under(&self, node: NodeId) -> Vec<MemberId>;
+    /// Audience oracle: appends the members holding the key of `node`
+    /// to `out` — drives the transport layer's interest maps. Hot
+    /// loops (the sim driver queries one node per rekey entry per
+    /// interval) clear and reuse a single buffer.
+    fn members_under_into(&self, node: NodeId, out: &mut Vec<MemberId>);
 
-    /// Buffer-reusing variant of [`GroupKeyManager::members_under`]:
-    /// appends the audience of `node` to `out` instead of allocating a
-    /// fresh `Vec`. Hot loops (the sim driver queries one node per
-    /// rekey entry per interval) clear and reuse a single buffer. The
-    /// default delegates to `members_under`; managers with cheap
-    /// append paths override it.
-    fn members_under_into(&self, node: NodeId, out: &mut Vec<MemberId>) {
-        out.extend(self.members_under(node));
+    /// Allocating form of [`GroupKeyManager::members_under_into`]:
+    /// the audience of `node` in a fresh `Vec`.
+    fn members_under(&self, node: NodeId) -> Vec<MemberId> {
+        let mut out = Vec::new();
+        self.members_under_into(node, &mut out);
+        out
     }
 
     /// A short human-readable scheme name for reports.
@@ -260,19 +260,13 @@ pub trait GroupKeyManager {
     /// policy bookkeeping, DEK) onto `buf`, such that a freshly-built
     /// manager of the same configuration restored from these bytes is
     /// behaviourally indistinguishable — it emits byte-identical rekey
-    /// messages for any future input. The engine-based schemes all
-    /// support this; the default declines.
+    /// messages for any future input.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Unsupported`] if the scheme cannot serialize
-    /// (e.g. the adaptive switcher).
-    fn save_state(&self, buf: &mut Vec<u8>) -> Result<(), PersistError> {
-        let _ = buf;
-        Err(PersistError::Unsupported {
-            scheme: self.scheme_name(),
-        })
-    }
+    /// The managers in this crate never fail; the `Result` lets a
+    /// wrapping manager pass on its inner manager's outcome.
+    fn save_state(&self, buf: &mut Vec<u8>) -> Result<(), PersistError>;
 
     /// Restores state serialized by [`GroupKeyManager::save_state`]
     /// into this manager, which must have been built with the same
@@ -280,13 +274,7 @@ pub trait GroupKeyManager {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Unsupported`] if the scheme cannot restore,
     /// [`PersistError::SchemeMismatch`] if the bytes belong to another
     /// scheme, [`PersistError::Codec`] if they do not parse.
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        let _ = bytes;
-        Err(PersistError::Unsupported {
-            scheme: self.scheme_name(),
-        })
-    }
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PersistError>;
 }

@@ -34,7 +34,8 @@
 //! records the snapshot already covers; recovery skips any record
 //! whose epoch is not past the snapshot's.
 
-use crate::{GroupKeyManager, IntervalOutcome, Join, RekeySink};
+use crate::engine::ENGINE_WIRE_VERSION;
+use crate::{DurationClass, GroupKeyManager, IntervalOutcome, Join, JoinHint, RekeySink};
 use rand::rngs::StdRng;
 use rekey_keytree::message::codec::{get_u32, get_u64, get_u8, put_u32, put_u64};
 use rekey_keytree::message::RekeyMessage;
@@ -63,12 +64,6 @@ pub enum PersistError {
     /// Replaying a WAL record against the restored manager failed —
     /// the log does not match the snapshot it extends.
     Replay(KeyTreeError),
-    /// The manager does not support durable state (e.g. the adaptive
-    /// switcher, which rebuilds its inner managers mid-session).
-    Unsupported {
-        /// Name of the scheme that cannot persist.
-        scheme: &'static str,
-    },
     /// The snapshot was written by a different scheme than the manager
     /// being restored.
     SchemeMismatch {
@@ -93,9 +88,6 @@ impl fmt::Display for PersistError {
             PersistError::Storage(e) => write!(f, "storage backend: {e}"),
             PersistError::Codec { what } => write!(f, "corrupt persisted state: bad {what}"),
             PersistError::Replay(e) => write!(f, "WAL replay rejected by the manager: {e}"),
-            PersistError::Unsupported { scheme } => {
-                write!(f, "scheme {scheme} does not support durable state")
-            }
             PersistError::SchemeMismatch { expected, found } => write!(
                 f,
                 "snapshot belongs to scheme {found}, manager runs {expected}"
@@ -148,18 +140,7 @@ impl EpochRecord {
         for join in &self.joins {
             put_u64(buf, join.member.0);
             buf.extend_from_slice(join.individual_key.as_bytes());
-            buf.push(match join.hint.expected_class {
-                None => 0,
-                Some(crate::DurationClass::Short) => 1,
-                Some(crate::DurationClass::Long) => 2,
-            });
-            match join.hint.loss_rate {
-                None => buf.push(0),
-                Some(loss) => {
-                    buf.push(1);
-                    put_u64(buf, loss.to_bits());
-                }
-            }
+            put_hint(buf, &join.hint);
         }
         put_u32(buf, self.leaves.len() as u32);
         for &leave in &self.leaves {
@@ -183,19 +164,11 @@ impl EpochRecord {
             let member = MemberId(get_u64(&mut buf)?);
             let (key, rest) = buf.split_first_chunk::<32>()?;
             buf = rest;
-            let mut join = Join::new(member, rekey_crypto::Key::from_bytes(*key));
-            join.hint.expected_class = match get_u8(&mut buf)? {
-                0 => None,
-                1 => Some(crate::DurationClass::Short),
-                2 => Some(crate::DurationClass::Long),
-                _ => return None,
-            };
-            join.hint.loss_rate = match get_u8(&mut buf)? {
-                0 => None,
-                1 => Some(f64::from_bits(get_u64(&mut buf)?)),
-                _ => return None,
-            };
-            joins.push(join);
+            joins.push(Join {
+                member,
+                individual_key: rekey_crypto::Key::from_bytes(*key),
+                hint: get_hint(&mut buf)?,
+            });
         }
         let leave_count = get_u32(&mut buf)? as usize;
         let mut leaves = Vec::with_capacity(leave_count);
@@ -209,6 +182,73 @@ impl EpochRecord {
             leaves,
         })
     }
+}
+
+/// Serializes a join hint: a class byte (0 none, 1 short, 2 long),
+/// then a presence byte and the loss rate's `f64` bits if it is set.
+/// The one hint format of the WAL and of every state blob.
+pub(crate) fn put_hint(buf: &mut Vec<u8>, hint: &JoinHint) {
+    buf.push(match hint.expected_class {
+        None => 0,
+        Some(DurationClass::Short) => 1,
+        Some(DurationClass::Long) => 2,
+    });
+    match hint.loss_rate {
+        None => buf.push(0),
+        Some(loss) => {
+            buf.push(1);
+            put_u64(buf, loss.to_bits());
+        }
+    }
+}
+
+/// Decodes a hint written by [`put_hint`], advancing `buf` past it.
+pub(crate) fn get_hint(buf: &mut &[u8]) -> Option<JoinHint> {
+    let expected_class = match get_u8(buf)? {
+        0 => None,
+        1 => Some(DurationClass::Short),
+        2 => Some(DurationClass::Long),
+        _ => return None,
+    };
+    let loss_rate = match get_u8(buf)? {
+        0 => None,
+        1 => Some(f64::from_bits(get_u64(buf)?)),
+        _ => return None,
+    };
+    Some(JoinHint {
+        expected_class,
+        loss_rate,
+    })
+}
+
+/// Writes the header every manager state blob starts with:
+/// [`ENGINE_WIRE_VERSION`] and the length-prefixed scheme name.
+pub(crate) fn put_state_header(buf: &mut Vec<u8>, scheme: &str) {
+    buf.push(ENGINE_WIRE_VERSION);
+    put_u32(buf, scheme.len() as u32);
+    buf.extend_from_slice(scheme.as_bytes());
+}
+
+/// Reads a header written by [`put_state_header`], advancing `buf`
+/// past it, and checks that the blob belongs to `expected`.
+pub(crate) fn check_state_header(buf: &mut &[u8], expected: &str) -> Result<(), PersistError> {
+    let bad = |what: &'static str| PersistError::Codec { what };
+    if get_u8(buf).ok_or(bad("manager state"))? != ENGINE_WIRE_VERSION {
+        return Err(bad("manager state version"));
+    }
+    let name_len = get_u32(buf).ok_or(bad("scheme name"))? as usize;
+    if buf.len() < name_len {
+        return Err(bad("scheme name"));
+    }
+    let (name, rest) = buf.split_at(name_len);
+    *buf = rest;
+    if name != expected.as_bytes() {
+        return Err(PersistError::SchemeMismatch {
+            expected: expected.to_string(),
+            found: String::from_utf8_lossy(name).into_owned(),
+        });
+    }
+    Ok(())
 }
 
 /// What [`Journal::recover`] reconstructed from disk.
@@ -326,7 +366,6 @@ impl<S: Storage> Journal<S> {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Unsupported`] if the manager cannot serialize,
     /// [`PersistError::Storage`] on a backend failure.
     pub fn snapshot(
         &mut self,
@@ -575,14 +614,7 @@ mod tests {
 
     #[test]
     fn every_scheme_survives_snapshot_restore() {
-        for scheme in [
-            Scheme::OneTree,
-            Scheme::Tt,
-            Scheme::Qt,
-            Scheme::Pt,
-            Scheme::LossForest,
-            Scheme::Combined,
-        ] {
+        for scheme in Scheme::ALL {
             let config = crate::SchemeConfig::default();
             let mut rng = StdRng::seed_from_u64(31);
             let mut manager = scheme.build(&config);
@@ -637,31 +669,6 @@ mod tests {
         assert!(matches!(
             recovered.recover(&mut other),
             Err(PersistError::SchemeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn adaptive_manager_reports_unsupported() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let manager = crate::Scheme::Adaptive.build(&crate::SchemeConfig::default());
-        let journal = &mut Journal::new(MemStorage::new(), 0);
-        assert!(matches!(
-            journal.snapshot(&*manager, &rng),
-            Err(PersistError::Unsupported { .. })
-        ));
-        // Restoring into it fails the same way.
-        let mut tt = TtManager::new(3, 4);
-        let mut j2 = Journal::new(MemStorage::new(), 0);
-        churn(&mut j2, &mut tt, &mut rng, 1);
-        j2.snapshot(&tt, &rng).unwrap();
-        let mut adaptive = crate::Scheme::Adaptive.build(&crate::SchemeConfig::default());
-        let mut j3 = Journal::new(
-            MemStorage::from_parts(Vec::new(), j2.storage_mut().snapshot_bytes()),
-            0,
-        );
-        assert!(matches!(
-            j3.recover(&mut *adaptive),
-            Err(PersistError::Unsupported { .. })
         ));
     }
 

@@ -1,12 +1,9 @@
 //! Identifier newtypes shared across the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a group member (receiver).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MemberId(pub u64);
 
 impl fmt::Display for MemberId {
@@ -28,9 +25,7 @@ impl From<u64> for MemberId {
 /// a *namespace* distinguishing independent trees managed by one
 /// group-key manager (e.g. the S-partition, the L-partition, and the
 /// DEK), so their rekey messages can be merged without collisions.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u64);
 
 impl NodeId {

@@ -135,8 +135,7 @@ struct Shared {
     flight: Arc<FlightRecorder>,
     health: Arc<HealthFlags>,
     /// Per-shard propagation histogram names (`net.propagation.shardN`),
-    /// leaked once per daemon because the recorder keys on
-    /// `&'static str`. Bounded by the worker count.
+    /// interned because the recorder keys on `&'static str`.
     shard_prop_names: Vec<&'static str>,
 }
 
@@ -360,7 +359,7 @@ impl Rekeyd {
 
         let workers = config.workers.max(1);
         let shard_prop_names = (0..workers)
-            .map(|i| &*Box::leak(format!("net.propagation.shard{i}").into_boxed_str()))
+            .map(|i| rekey_obs::intern(&format!("net.propagation.shard{i}")))
             .collect();
         let shared = Arc::new(Shared {
             registry: Mutex::new(HashMap::new()),

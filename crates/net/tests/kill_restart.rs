@@ -57,8 +57,8 @@ impl Drop for TempDir {
     }
 }
 
-fn build_manager() -> Box<dyn GroupKeyManager> {
-    Scheme::Tt.build(&SchemeConfig::new().degree(3).s_period(3))
+fn build_manager(scheme: Scheme) -> Box<dyn GroupKeyManager> {
+    scheme.build(&SchemeConfig::new().degree(3).s_period(3))
 }
 
 /// The deterministic membership schedule both worlds run: interval 1
@@ -89,8 +89,8 @@ fn batch(interval: u64, manager: &dyn GroupKeyManager) -> (Vec<Join>, Vec<Member
 
 /// The uninterrupted reference: same scheme, seed, and schedule, no
 /// crash — collects the codec bytes of every epoch.
-fn reference_epochs() -> Vec<Vec<u8>> {
-    let mut manager = build_manager();
+fn reference_epochs(scheme: Scheme) -> Vec<Vec<u8>> {
+    let mut manager = build_manager(scheme);
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut epochs = Vec::new();
     for interval in 1..=TOTAL {
@@ -140,16 +140,16 @@ fn publish_interval(
     assert_eq!(out.message.epoch, interval);
 }
 
-/// Runs the kill/restart scenario. `snapshot_every` shapes what the
-/// restart finds on disk (periodic snapshots + short WAL tail vs one
-/// long WAL); `straggler` optionally stops polling one member several
+/// Runs the kill/restart scenario under `scheme`. `snapshot_every`
+/// shapes what the restart finds on disk (periodic snapshots + short
+/// WAL tail vs one long WAL); `straggler` optionally stops polling one member several
 /// epochs before the crash, forcing it to recover those epochs from
 /// the *restarted* daemon's republished retransmission window.
-fn run_kill_restart(tag: &str, snapshot_every: u64, straggler: Option<MemberId>) {
+fn run_kill_restart(scheme: Scheme, tag: &str, snapshot_every: u64, straggler: Option<MemberId>) {
     let scratch = TempDir::new(tag);
-    let reference = reference_epochs();
+    let reference = reference_epochs(scheme);
 
-    let mut manager = build_manager();
+    let mut manager = build_manager(scheme);
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut journal = Journal::new(
         DirStorage::open(&scratch.0).expect("open storage"),
@@ -198,7 +198,7 @@ fn run_kill_restart(tag: &str, snapshot_every: u64, straggler: Option<MemberId>)
     drop(rng);
 
     // Restart: fresh manager, fresh journal, same directory, new port.
-    let mut manager = build_manager();
+    let mut manager = build_manager(scheme);
     let mut journal = Journal::new(
         DirStorage::open(&scratch.0).expect("reopen storage"),
         snapshot_every,
@@ -274,7 +274,10 @@ fn run_kill_restart(tag: &str, snapshot_every: u64, straggler: Option<MemberId>)
 fn restart_resumes_byte_identical_stream() {
     // Periodic snapshots: the restart loads a snapshot and replays a
     // short WAL tail.
-    run_kill_restart("snap", 3, None);
+    run_kill_restart(Scheme::Tt, "snap", 3, None);
+    // The adaptive switcher persists its own header ahead of the
+    // active inner manager's state.
+    run_kill_restart(Scheme::Adaptive, "snap-adaptive", 3, None);
 }
 
 #[test]
@@ -282,5 +285,5 @@ fn straggler_recovers_missed_epochs_across_restart() {
     // No periodic snapshots: the whole stream is in the WAL, so the
     // restarted daemon's republished window reaches back far enough
     // for the straggler to recover everything it slept through.
-    run_kill_restart("straggler", 0, Some(MemberId(0)))
+    run_kill_restart(Scheme::Tt, "straggler", 0, Some(MemberId(0)))
 }

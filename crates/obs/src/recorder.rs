@@ -1,8 +1,9 @@
 //! The [`Recorder`] sink trait, the process-global recorder slot, and
 //! the RAII [`SpanGuard`].
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 /// A sink for observability events.
@@ -111,6 +112,22 @@ pub fn sample(name: &'static str, value: f64) {
     with(|r| r.sample(name, now_ns(), value));
 }
 
+/// A `'static` copy of `name` for probes whose names are built at run
+/// time (per-tree spans, per-shard histograms). Each distinct name is
+/// leaked once per process; asking again returns the same pointer, so
+/// code that rebuilds its probes (engine restores, adaptive switches,
+/// daemon restarts) does not grow memory.
+pub fn intern(name: &str) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&known) = names.get(name) {
+        return known;
+    }
+    let leaked: &'static str = name.to_owned().leak();
+    names.insert(leaked);
+    leaked
+}
+
 /// Total nanoseconds accumulated under `name` by the global recorder
 /// (0 when none is installed or it does not aggregate).
 pub fn total_time_ns(name: &str) -> u64 {
@@ -214,5 +231,17 @@ mod tests {
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn intern_returns_one_pointer_per_name() {
+        let a = intern("intern.test.a");
+        let again = intern(&format!("intern.test.{}", 'a'));
+        assert_eq!(a, "intern.test.a");
+        assert!(
+            std::ptr::eq(a, again),
+            "a repeated name is not leaked again"
+        );
+        assert!(!std::ptr::eq(a, intern("intern.test.b")));
     }
 }

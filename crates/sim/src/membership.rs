@@ -13,10 +13,9 @@ use rand::Rng;
 use rekey_analytic::partition::PartitionParams;
 use rekey_core::DurationClass;
 use rekey_keytree::MemberId;
-use serde::{Deserialize, Serialize};
 
 /// Workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MembershipParams {
     /// Steady-state group size to aim for.
     pub target_size: usize,

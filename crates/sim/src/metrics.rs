@@ -1,9 +1,7 @@
 //! Summary statistics for simulation series.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean / deviation / extrema of a series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample count.
     pub count: usize,

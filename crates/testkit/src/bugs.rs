@@ -6,8 +6,9 @@
 //! the wire-level knowledge model can notice.
 
 use rand::RngCore;
-use rekey_core::{GroupKeyManager, IntervalOutcome, Join};
+use rekey_core::{GroupKeyManager, IntervalOutcome, Join, PersistError};
 use rekey_crypto::Key;
+use rekey_keytree::message::codec::{get_u64, get_u8, put_u64};
 use rekey_keytree::{KeyTreeError, MemberId, NodeId};
 
 /// Simulates "forgot to refresh the path keys for one leave": the
@@ -75,12 +76,6 @@ impl<M: GroupKeyManager> GroupKeyManager for SkipOneLeave<M> {
         !self.hidden(member) && self.inner.contains(member)
     }
 
-    fn members_under(&self, node: NodeId) -> Vec<MemberId> {
-        let mut members = self.inner.members_under(node);
-        members.retain(|&m| !self.hidden(m));
-        members
-    }
-
     fn members_under_into(&self, node: NodeId, out: &mut Vec<MemberId>) {
         let start = out.len();
         self.inner.members_under_into(node, out);
@@ -98,5 +93,67 @@ impl<M: GroupKeyManager> GroupKeyManager for SkipOneLeave<M> {
 
     fn scheme_name(&self) -> &'static str {
         self.inner.scheme_name()
+    }
+
+    /// The skipped member (a flag byte, then its id), then the inner
+    /// manager's blob.
+    fn save_state(&self, buf: &mut Vec<u8>) -> Result<(), PersistError> {
+        match self.skipped {
+            None => buf.push(0),
+            Some(member) => {
+                buf.push(1);
+                put_u64(buf, member.0);
+            }
+        }
+        self.inner.save_state(buf)
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
+        let mut buf = bytes;
+        let bad = PersistError::Codec {
+            what: "skipped leaver",
+        };
+        let skipped = match get_u8(&mut buf) {
+            Some(0) => None,
+            Some(1) => Some(MemberId(get_u64(&mut buf).ok_or(bad)?)),
+            _ => return Err(bad),
+        };
+        self.inner.restore_state(buf)?;
+        self.skipped = skipped;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rekey_core::partition::TtManager;
+    use rekey_keytree::message::codec::encode_message;
+
+    #[test]
+    fn restore_keeps_the_skipped_leaver_hidden() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let joins: Vec<Join> = (0..4u64)
+            .map(|i| Join::new(MemberId(i), Key::generate(&mut rng)))
+            .collect();
+        let mut mgr = SkipOneLeave::new(TtManager::new(3, 2));
+        mgr.process_interval(&joins, &[], &mut rng).unwrap();
+        mgr.process_interval(&[], &[MemberId(1)], &mut rng).unwrap();
+
+        let mut blob = Vec::new();
+        mgr.save_state(&mut blob).unwrap();
+        let mut restored = SkipOneLeave::new(TtManager::new(3, 2));
+        restored.restore_state(&blob).unwrap();
+        assert!(!restored.contains(MemberId(1)));
+        assert_eq!(restored.member_count(), mgr.member_count());
+
+        let mut rng_b = rng.clone();
+        let a = mgr.process_interval(&[], &[MemberId(2)], &mut rng).unwrap();
+        let b = restored
+            .process_interval(&[], &[MemberId(2)], &mut rng_b)
+            .unwrap();
+        assert_eq!(encode_message(&a.message), encode_message(&b.message));
     }
 }

@@ -187,16 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_scheme_survives_repeated_crashes() {
+    fn every_scheme_survives_repeated_crashes() {
         let scenario = Scenario::generate(77, 18, &GenParams::default());
-        for scheme in [
-            Scheme::OneTree,
-            Scheme::Tt,
-            Scheme::Qt,
-            Scheme::Pt,
-            Scheme::LossForest,
-            Scheme::Combined,
-        ] {
+        for scheme in Scheme::ALL {
             let expected = baseline(scheme, &scenario);
             let report = run_with_crashes(&factory_for(scheme), &scenario, 4, 3)
                 .unwrap_or_else(|e| panic!("{scheme}: {e}"));
