@@ -254,37 +254,44 @@ fn ablation_model_vs_sim() {
     use rekey_core::one_tree::OneTreeManager;
     use rekey_core::partition::{QtManager, TtManager};
     use rekey_core::GroupKeyManager;
-    use rekey_sim::driver::{run_scheme, SimConfig};
-    use rekey_sim::membership::{MembershipGenerator, MembershipParams};
+    use rekey_testkit::{run_measured, GenParams, Paper, RunOptions, Workload};
 
     let n = 2048usize;
-    let params = MembershipParams {
-        target_size: n,
-        ..MembershipParams::paper_default()
+    let (warmup, measured) = (15usize, 40usize);
+    let params = GenParams {
+        bootstrap: n,
+        ..GenParams::default()
     };
+    let scenario = Paper::default().compile(4242, warmup + measured, &params);
     let model = PartitionParams {
         group_size: n as u64,
         ..PartitionParams::paper_default()
     };
-    let cfg = SimConfig {
-        intervals: 40,
-        warmup: 15,
-        ..SimConfig::quick()
-    };
-    let simulate = |mgr: &mut dyn GroupKeyManager| {
-        let mut rng = StdRng::seed_from_u64(4242);
-        let mut generator = MembershipGenerator::new(params, &mut rng);
-        run_scheme(mgr, &mut generator, &cfg, &mut rng).mean_keys_per_interval
+    let simulate = |mgr: fn() -> Box<dyn GroupKeyManager>| {
+        let opts = RunOptions {
+            check: false,
+            ..RunOptions::default()
+        };
+        let (_, keys) = run_measured(&|_| mgr(), &scenario, &opts, warmup).expect("unchecked run");
+        keys.mean
     };
     let costs = model.costs();
     let rows = vec![
         (
             "one-keytree",
-            simulate(&mut OneTreeManager::new(4)),
+            simulate(|| Box::new(OneTreeManager::new(4))),
             costs.one_keytree,
         ),
-        ("tt-scheme", simulate(&mut TtManager::new(4, 10)), costs.tt),
-        ("qt-scheme", simulate(&mut QtManager::new(4, 10)), costs.qt),
+        (
+            "tt-scheme",
+            simulate(|| Box::new(TtManager::new(4, 10))),
+            costs.tt,
+        ),
+        (
+            "qt-scheme",
+            simulate(|| Box::new(QtManager::new(4, 10))),
+            costs.qt,
+        ),
     ];
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -19,7 +19,7 @@ use rekey_core::partition::TtManager;
 use rekey_core::{GroupKeyManager, Join};
 use rekey_crypto::Key;
 use rekey_keytree::MemberId;
-use rekey_sim::membership::{MembershipGenerator, MembershipParams};
+use rekey_testkit::{GenParams, JoinOp, Paper, Workload};
 use rekey_transport::interest::interest_map;
 use rekey_transport::loss::Population;
 use rekey_transport::wka_bkr::{self, WkaBkrConfig};
@@ -47,45 +47,36 @@ fn run<M: GroupKeyManager>(
     seed: u64,
 ) -> RunResult {
     let mut rng = StdRng::seed_from_u64(seed);
-    let params = MembershipParams {
-        target_size: N,
-        ..MembershipParams::paper_default()
+    let params = GenParams {
+        bootstrap: N,
+        ..GenParams::default()
     };
-    let mut generator = MembershipGenerator::new(params, &mut rng);
+    let session = Paper::default().compile(seed, WARMUP + MEASURED, &params);
     let mut losses: BTreeMap<MemberId, f64> = BTreeMap::new();
-    fn assign_loss(losses: &mut BTreeMap<MemberId, f64>, id: MemberId, rng: &mut StdRng) {
-        let p = if rng.gen::<f64>() < HIGH_LOSS_FRACTION {
-            P_HIGH
-        } else {
-            P_LOW
-        };
-        losses.insert(id, p);
+    fn admit(ops: &[JoinOp], losses: &mut BTreeMap<MemberId, f64>, rng: &mut StdRng) -> Vec<Join> {
+        ops.iter()
+            .map(|op| {
+                let p = if rng.gen::<f64>() < HIGH_LOSS_FRACTION {
+                    P_HIGH
+                } else {
+                    P_LOW
+                };
+                losses.insert(MemberId(op.member), p);
+                Join::new(MemberId(op.member), Key::generate(rng))
+            })
+            .collect()
     }
 
     // Bootstrap the steady-state population.
-    let joins: Vec<Join> = (0..generator.population() as u64)
-        .map(|i| {
-            assign_loss(&mut losses, MemberId(i), &mut rng);
-            Join::new(MemberId(i), Key::generate(&mut rng))
-        })
-        .collect();
+    let joins = admit(&session.intervals[0].joins, &mut losses, &mut rng);
     manager.process_interval(&joins, &[], &mut rng).unwrap();
 
     let (mut server_keys, mut transport_keys, mut measured) = (0u64, 0u64, 0usize);
-    for step in 0..(WARMUP + MEASURED) {
-        let events = generator.next_interval(&mut rng);
-        let joins: Vec<Join> = events
-            .joins
-            .iter()
-            .map(|&(m, _)| {
-                assign_loss(&mut losses, m, &mut rng);
-                Join::new(m, Key::generate(&mut rng))
-            })
-            .collect();
-        let out = manager
-            .process_interval(&joins, &events.leaves, &mut rng)
-            .unwrap();
-        for m in &events.leaves {
+    for (step, ops) in session.intervals[1..].iter().enumerate() {
+        let joins = admit(&ops.joins, &mut losses, &mut rng);
+        let leaves: Vec<MemberId> = ops.leaves.iter().map(|&m| MemberId(m)).collect();
+        let out = manager.process_interval(&joins, &leaves, &mut rng).unwrap();
+        for m in &leaves {
             losses.remove(m);
         }
 

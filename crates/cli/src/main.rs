@@ -11,10 +11,16 @@
 //!                 [--alpha 0.8] [--intervals 40] [--warmup 15]
 //!                 [--seed 42] [--verify] [--threads 1]
 //!                 [--trace out.trace.json] [--metrics out.prom]
-//!     Run the executable key server over a synthetic two-class
-//!     workload and report measured bandwidth. `--threads` sets the
-//!     worker count for the encryption phase; it changes wall-clock
-//!     time only, never the emitted messages or reported metrics.
+//!     Run the executable key server over the paper's two-class
+//!     membership process (the `paper` workload: Poisson arrivals,
+//!     exponential short/long stays mixed by `--alpha`, one rekey
+//!     every 60 s) and report measured bandwidth over the intervals
+//!     after the warm-up. `--verify` checks every interval with the
+//!     shadow key-knowledge oracle and the member farm (the same
+//!     checks as `fuzz`; the reported numbers are identical without
+//!     it). `--threads` sets the worker count for the encryption
+//!     phase; it changes wall-clock time only, never the emitted
+//!     messages or reported metrics.
 //!     `--trace` writes a Chrome `trace_event` JSON profile of the
 //!     run (load it in about:tracing or Perfetto) and `--metrics`
 //!     writes a Prometheus-style text dump of counters and latency
@@ -47,18 +53,19 @@
 //!     printed.
 //!
 //! rekey workload  [--generator uniform|diurnal|flash-crowd|mobile-flap|
-//!                  regional-loss|all|g1,g2,...]
+//!                  regional-loss|paper|all|g1,g2,...]
 //!                 [--scheme one|tt|qt|pt|forest|combined|adaptive|all|s1,s2,...]
 //!                 [--seed 1] [--intervals 200]
 //!                 [--loss lossless|bernoulli|wka] [--workers 1]
 //!                 [--d 4] [--k 3] [--sweep] [--out BENCH_workloads.json]
 //!                 [--dump-dir DIR] [--trace FILE]
 //!     Run named trace-driven workloads (diurnal curves, flash crowds,
-//!     mobile flap, correlated regional loss, plus the fuzzer's
-//!     uniform churn) against the key schemes, with the full oracle +
-//!     member-farm invariant suite live, and report bandwidth
-//!     (multicast bytes/interval), rekey latency percentiles, and peak
-//!     tree size per (generator, scheme) cell. `--sweep` runs every
+//!     mobile flap, correlated regional loss, the paper's two-class
+//!     process, plus the fuzzer's uniform churn) against the key
+//!     schemes, with the full oracle + member-farm invariant suite
+//!     live, and report bandwidth (multicast bytes/interval), rekey
+//!     latency percentiles, and peak tree size per (generator, scheme)
+//!     cell. `--sweep` runs every
 //!     generator against every scheme, dumps one replayable trace file
 //!     per generator (default `target/workloads/`, verified to decode
 //!     back byte-identically), and writes the results with host
@@ -141,8 +148,6 @@ use rekey_keytree::message::{codec, RekeyMessage};
 use rekey_keytree::server::LkhServer;
 use rekey_keytree::MemberId;
 use rekey_net::{demo_member_key, ClientConfig, NetError, RekeyClient, Rekeyd, ServerConfig};
-use rekey_sim::driver::{run_scheme, SimConfig};
-use rekey_sim::membership::{MembershipGenerator, MembershipParams};
 use rekey_transport::interest::interest_map;
 use rekey_transport::loss::Population;
 use rekey_transport::{fec, multisend, wka_bkr};
@@ -239,56 +244,68 @@ fn cmd_model(args: &Args) -> CliResult {
 }
 
 fn cmd_simulate(args: &Args) -> CliResult {
+    use rekey_testkit::{factory_for, run_measured, GenParams, Paper, RunOptions, Workload};
+
     let scheme: Scheme = args.get_or("scheme", "tt").parse()?;
-    let n: usize = args.get_parsed_or("n", 2048usize)?;
-    let degree: usize = args.get_parsed_or("d", 4usize)?;
-    let k: u64 = args.get_parsed_or("k", 10u64)?;
-    let alpha: f64 = args.get_parsed_or("alpha", 0.8f64)?;
+    let params = GenParams {
+        bootstrap: args.get_parsed_or("n", 2048usize)?,
+        degree: args.get_parsed_or("d", 4u8)?,
+        k: args.get_parsed_or("k", 10u16)?,
+        ..GenParams::default()
+    };
+    let mut paper = Paper::default();
+    paper.alpha = args.get_parsed_or("alpha", 0.8f64)?;
+    if !(0.0..=1.0).contains(&paper.alpha) {
+        return Err(format!("--alpha {} is outside [0, 1]", paper.alpha).into());
+    }
     let seed: u64 = args.get_parsed_or("seed", 42u64)?;
-    let verify: bool = args.get_bool_or("verify", false)?;
-    let config = SimConfig {
-        intervals: args.get_parsed_or("intervals", 40usize)?,
-        warmup: args.get_parsed_or("warmup", 15usize)?,
-        verify_members: verify,
-        oracle_hints: scheme == Scheme::Pt,
-        parallelism: args.get_parsed_or("threads", 1usize)?,
-        trace: path_flag(args, "trace")?,
-        metrics: path_flag(args, "metrics")?,
+    let intervals: usize = args.get_parsed_or("intervals", 40usize)?;
+    let warmup: usize = args.get_parsed_or("warmup", 15usize)?;
+    let opts = RunOptions {
+        workers: args.get_parsed_or("threads", 1usize)?,
+        check: args.get_bool_or("verify", false)?,
+        ..RunOptions::default()
     };
+    let trace = path_flag(args, "trace")?;
+    let metrics = path_flag(args, "metrics")?;
 
-    let mut manager = scheme.build(&SchemeConfig::new().degree(degree).s_period(k));
-
-    let params = MembershipParams {
-        target_size: n,
-        alpha,
-        ..MembershipParams::paper_default()
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut generator = MembershipGenerator::new(params, &mut rng);
-    let report = run_scheme(manager.as_mut(), &mut generator, &config, &mut rng);
+    let collector = (trace.is_some() || metrics.is_some()).then(|| {
+        let collector = std::sync::Arc::new(rekey_obs::Collector::new());
+        rekey_obs::install(collector.clone());
+        collector
+    });
+    // Interval 0 admits the steady-state population and the next
+    // `warmup` intervals let the partitions fill; neither is measured.
+    let scenario = paper.compile(seed, warmup + intervals, &params);
+    let factory = factory_for(scheme);
+    let (stats, summary) =
+        run_measured(&factory, &scenario, &opts, warmup).map_err(|v| format!("{scheme}: {v}"))?;
     println!(
         "{}: {:.0} keys/interval (std {:.0}, min {:.0}, max {:.0}) over {} intervals; final group size {}",
-        manager.scheme_name(),
-        report.keys_summary.mean,
-        report.keys_summary.stddev,
-        report.keys_summary.min,
-        report.keys_summary.max,
-        report.intervals.len(),
-        report.final_size
+        factory(&scenario).scheme_name(),
+        summary.mean,
+        summary.stddev,
+        summary.min,
+        summary.max,
+        summary.count,
+        stats.final_members
     );
-    if verify {
-        println!("member verification: every present member held the DEK every interval");
-    }
-    if config.trace.is_some() || config.metrics.is_some() {
-        let p = report.phases;
+    if opts.check {
         println!(
-            "phase breakdown: mutate {:.3}s, plan {:.3}s, execute {:.3}s",
-            p.mutate_s, p.plan_s, p.execute_s
+            "member verification: oracle and member farm checked every interval; every present member held the DEK"
         );
-        if let Some(path) = &config.trace {
+    }
+    if let Some(collector) = collector {
+        let [mutate, plan, execute] = ["rekey.mutate", "rekey.plan", "rekey.execute"]
+            .map(|span| rekey_obs::total_time_ns(span) as f64 / 1e9);
+        rekey_obs::uninstall();
+        println!("phase breakdown: mutate {mutate:.3}s, plan {plan:.3}s, execute {execute:.3}s");
+        if let Some(path) = &trace {
+            collector.write_chrome_trace(path)?;
             println!("trace written to {path}");
         }
-        if let Some(path) = &config.metrics {
+        if let Some(path) = &metrics {
+            collector.write_metrics(path)?;
             println!("metrics written to {path}");
         }
     }
@@ -394,7 +411,11 @@ fn cmd_fuzz(args: &Args) -> CliResult {
         vec![scheme_flag.parse()?]
     };
 
-    let opts = RunOptions { delivery, workers };
+    let opts = RunOptions {
+        delivery,
+        workers,
+        ..RunOptions::default()
+    };
     let mut failures = 0usize;
     for seed in seed_lo..=seed_hi {
         let scenario = Scenario::generate(seed, intervals, &params);
@@ -570,7 +591,11 @@ fn cmd_workload(args: &Args) -> CliResult {
         k,
         ..GenParams::default()
     };
-    let opts = RunOptions { delivery, workers };
+    let opts = RunOptions {
+        delivery,
+        workers,
+        ..RunOptions::default()
+    };
     let schemes = parse_scheme_list(&args.get_or("scheme", "all"))?;
     let out = args.get_or("out", "BENCH_workloads.json");
     let mut cells: Vec<WorkloadCell> = Vec::new();

@@ -27,12 +27,33 @@
 //!   an in-memory [`rekey_storage::Storage`], killed and recovered on
 //!   a schedule, must reproduce the uninterrupted run byte-for-byte.
 //! - [`workload`] — named trace-driven churn generators (`uniform`,
-//!   `diurnal`, `flash-crowd`, `mobile-flap`, `regional-loss`) that
-//!   compile down to [`Scenario`]s, plus an observed runner reporting
-//!   bandwidth, rekey-latency percentiles, and peak tree size.
+//!   `diurnal`, `flash-crowd`, `mobile-flap`, `regional-loss`, and the
+//!   paper's own §3.3.1 process, `paper`) that compile down to
+//!   [`Scenario`]s, plus an observed runner reporting bandwidth,
+//!   rekey-latency percentiles, and peak tree size.
+//! - [`metrics`] — summary statistics of per-interval series.
 //! - [`trace`] — the replayable trace file format: a compiled
 //!   scenario tagged with its generator name, with typed decode
 //!   errors.
+//!
+//! # Example
+//!
+//! The paper's membership process, run through the checked runner:
+//!
+//! ```
+//! use rekey_core::Scheme;
+//! use rekey_testkit::{factory_for, run_scenario, GenParams, Paper, RunOptions, Workload};
+//!
+//! let params = GenParams {
+//!     bootstrap: 256,
+//!     ..GenParams::default()
+//! };
+//! let scenario = Paper::default().compile(1, 20, &params);
+//! let factory = factory_for(Scheme::OneTree);
+//! let stats = run_scenario(&factory, &scenario, &RunOptions::default())
+//!     .expect("every interval passes the oracle and the member farm");
+//! assert!(stats.total_entries > 0);
+//! ```
 //!
 //! [`GroupMember`]: rekey_keytree::member::GroupMember
 
@@ -41,7 +62,10 @@
 
 pub mod bugs;
 pub mod crashsim;
+pub mod driver;
+mod events;
 pub mod farm;
+pub mod metrics;
 pub mod oracle;
 pub mod runner;
 pub mod scenario;
@@ -49,6 +73,7 @@ pub mod trace;
 pub mod workload;
 
 pub use crashsim::{run_with_crashes, CrashSimReport};
+pub use driver::{run_measured, run_workload, WorkloadRun};
 pub use farm::{Delivery, FarmError, MemberFarm};
 pub use oracle::KnowledgeOracle;
 pub use runner::{
@@ -57,9 +82,7 @@ pub use runner::{
 };
 pub use scenario::{GenParams, IntervalOps, JoinOp, Scenario, ScenarioError};
 pub use trace::{Trace, TraceError};
-pub use workload::{
-    all_workloads, run_workload, workload_by_name, Workload, WorkloadRun, WORKLOAD_NAMES,
-};
+pub use workload::{all_workloads, workload_by_name, Paper, Workload, WORKLOAD_NAMES};
 
 use rekey_core::scheme::{Scheme, SchemeConfig};
 use rekey_core::GroupKeyManager;

@@ -4,9 +4,11 @@
 //! [`Scenario`]: every interval's output message is *encoded to wire
 //! bytes*, decoded back, folded into the [`KnowledgeOracle`],
 //! delivered to the [`MemberFarm`], and the full invariant suite runs.
-//! Churn and network randomness come from two independent seeded
+//! With [`RunOptions::check`] off only the encoding remains (for the
+//! byte counts and the digest), which is what large measurement runs
+//! use. Churn and network randomness come from two independent seeded
 //! streams, so the verdict and the run digest are identical regardless
-//! of the manager's worker count.
+//! of the manager's worker count or the check setting.
 //!
 //! [`shrink`] bisects a failing scenario down to a minimal prefix and
 //! then greedily deletes whole intervals and individual operations
@@ -18,7 +20,7 @@ use crate::oracle::KnowledgeOracle;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rekey_core::{GroupKeyManager, Join};
+use rekey_core::{GroupKeyManager, IntervalStats, Join};
 use rekey_crypto::sha256::Sha256;
 use rekey_keytree::message::codec;
 use rekey_keytree::MemberId;
@@ -34,6 +36,10 @@ pub struct RunOptions {
     pub delivery: Delivery,
     /// Worker count handed to [`GroupKeyManager::set_parallelism`].
     pub workers: usize,
+    /// Decode every message and run the oracle and the member farm.
+    /// `false` keeps only the encoding (bytes and digest), so the
+    /// statistics are identical either way; only the verdict is lost.
+    pub check: bool,
 }
 
 impl Default for RunOptions {
@@ -41,6 +47,7 @@ impl Default for RunOptions {
         RunOptions {
             delivery: Delivery::Lossless,
             workers: 1,
+            check: true,
         }
     }
 }
@@ -126,6 +133,7 @@ pub fn run_scenario_with(
 
     let mut oracle = KnowledgeOracle::new();
     let mut farm = MemberFarm::new();
+    let check = opts.check;
     let mut hasher = Sha256::new();
     let mut total_entries = 0usize;
     let mut total_bytes = 0usize;
@@ -136,7 +144,9 @@ pub fn run_scenario_with(
         let mut joins = Vec::with_capacity(ops.joins.len());
         for op in &ops.joins {
             let key = rekey_crypto::Key::generate(&mut churn_rng);
-            farm.admit(MemberId(op.member), key.clone(), op.loss);
+            if check {
+                farm.admit(MemberId(op.member), key.clone(), op.loss);
+            }
             let mut join = Join::new(MemberId(op.member), key).with_loss_rate(op.loss);
             if let Some(class) = op.class {
                 join = join.with_class(class);
@@ -144,11 +154,13 @@ pub fn run_scenario_with(
             joins.push(join);
         }
         let leaves: Vec<MemberId> = ops.leaves.iter().map(|&m| MemberId(m)).collect();
-        for &m in &leaves {
-            farm.depart(m);
-        }
-        for &(m, loss) in &ops.loss_changes {
-            farm.set_loss(MemberId(m), loss);
+        if check {
+            for &m in &leaves {
+                farm.depart(m);
+            }
+            for &(m, loss) in &ops.loss_changes {
+                farm.set_loss(MemberId(m), loss);
+            }
         }
 
         let started = std::time::Instant::now();
@@ -161,35 +173,48 @@ pub fn run_scenario_with(
         hasher.update(&bytes);
         total_entries += out.message.encrypted_key_count();
         total_bytes += bytes.len();
-        let decoded = codec::decode_message(&bytes)
-            .ok_or_else(|| fail("wire bytes failed to decode".into()))?;
-        if decoded != out.message {
-            return Err(fail("wire round-trip altered the message".into()));
-        }
+        sample_interval(&out.stats);
 
-        let report = oracle.observe(&decoded);
-        let complete = farm
-            .deliver(&decoded, opts.delivery, manager.as_ref(), &mut net_rng)
-            .map_err(|e| fail(e.to_string()))?;
-        farm.check(&oracle, manager.as_ref(), &report, complete)
-            .map_err(|e| fail(e.to_string()))?;
+        if check {
+            let decoded = codec::decode_message(&bytes)
+                .ok_or_else(|| fail("wire bytes failed to decode".into()))?;
+            if decoded != out.message {
+                return Err(fail("wire round-trip altered the message".into()));
+            }
+            let report = oracle.observe(&decoded);
+            let complete = farm
+                .deliver(&decoded, opts.delivery, manager.as_ref(), &mut net_rng)
+                .map_err(|e| fail(e.to_string()))?;
+            farm.check(&oracle, manager.as_ref(), &report, complete)
+                .map_err(|e| fail(e.to_string()))?;
+        }
 
         observer(IntervalObservation {
             interval,
             bytes: bytes.len(),
             entries: out.message.encrypted_key_count(),
             process_ns,
-            members: farm.present().len(),
+            members: manager.member_count(),
         });
     }
 
     Ok(RunStats {
         intervals: scenario.intervals.len(),
-        final_members: farm.present().len(),
+        final_members: manager.member_count(),
         total_entries,
         total_bytes,
         digest: hasher.finalize(),
     })
+}
+
+/// Emits the per-interval gauge series (Chrome counter tracks / last
+/// value in the metrics dump). No-ops when no recorder is installed.
+fn sample_interval(stats: &IntervalStats) {
+    rekey_obs::sample("sim.joins", stats.joins as f64);
+    rekey_obs::sample("sim.leaves", stats.leaves as f64);
+    rekey_obs::sample("sim.migrations", stats.migrations as f64);
+    rekey_obs::sample("sim.encrypted_keys", stats.encrypted_keys as f64);
+    rekey_obs::sample("sim.message_bytes", stats.message_bytes as f64);
 }
 
 /// Outcome of shrinking a failing scenario.

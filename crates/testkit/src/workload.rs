@@ -7,7 +7,7 @@
 //! retrieved optimal-tree and batch-insertion papers show scheme
 //! rankings flip under exactly these non-uniform dynamics. This module
 //! adds a [`Workload`] trait — a named, seed-deterministic generator of
-//! interval-by-interval churn — and five implementations:
+//! interval-by-interval churn — and six implementations:
 //!
 //! - [`Uniform`] — byte-identical to [`Scenario::generate`], the
 //!   fuzzer's behaviour, kept as the baseline;
@@ -18,7 +18,11 @@
 //! - [`MobileFlap`] — short-lived rejoin-heavy sessions: flappy
 //!   members leave after 1–3 intervals and usually rejoin at once;
 //! - [`RegionalLoss`] — correlated loss-class shifts over member
-//!   cohorts (a region degrades and later recovers as one event).
+//!   cohorts (a region degrades and later recovers as one event);
+//! - [`Paper`] — the paper's own §3.3.1 process: Poisson arrivals,
+//!   two exponential duration classes mixed by `α`, batch rekeying
+//!   every `Tp` (the workload `rekey simulate` and the model
+//!   cross-validation run).
 //!
 //! Every workload **compiles down to the existing [`Scenario`]**
 //! representation, so the shadow [`KnowledgeOracle`], the
@@ -29,12 +33,12 @@
 //! [`KnowledgeOracle`]: crate::oracle::KnowledgeOracle
 //! [`MemberFarm`]: crate::farm::MemberFarm
 
-use crate::runner::{run_scenario_with, ManagerFactory, RunOptions, RunStats, Violation};
+use crate::events::Departures;
 use crate::scenario::{GenParams, IntervalOps, JoinOp, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rekey_analytic::partition::PartitionParams;
 use rekey_core::DurationClass;
-use rekey_obs::hist::Log2Histogram;
 use std::f64::consts::PI;
 
 /// Live group bookkeeping handed to [`Workload::interval`].
@@ -583,13 +587,169 @@ impl Workload for RegionalLoss {
     }
 }
 
+/// The two-class membership process of §3.3.1 (\[AA97\]'s MBone
+/// behaviour), the workload the paper's model is fitted to.
+///
+/// The group starts at its steady state: [`GenParams::bootstrap`]
+/// members drawn from the stationary class mix, each with an
+/// exponential residual lifetime (memorylessness). Joins then arrive
+/// as a Poisson process at the model's rate `J` per rekey interval,
+/// each joiner short-lived with probability `alpha` and staying for
+/// an exponential duration of its class. Arrivals that leave within
+/// their arrival interval are counted ([`Paper::transients`]) but
+/// never admitted, as under periodic batch rekeying. Every join
+/// carries its true duration class (only the oracle PT-scheme reads
+/// it) and a loss rate of 0.
+#[derive(Debug, Clone)]
+pub struct Paper {
+    /// Fraction of short-lived arrivals (`α`).
+    pub alpha: f64,
+    /// Mean short duration `Ms`, in seconds.
+    pub mean_short: f64,
+    /// Mean long duration `Ml`, in seconds.
+    pub mean_long: f64,
+    /// Rekey interval `Tp`, in seconds.
+    pub rekey_period: f64,
+    /// Arrivals of the last compile that were never admitted.
+    transient: usize,
+}
+
+impl Default for Paper {
+    /// The Table 1 parameters.
+    fn default() -> Self {
+        let table1 = PartitionParams::paper_default();
+        Paper {
+            alpha: table1.alpha,
+            mean_short: table1.mean_short,
+            mean_long: table1.mean_long,
+            rekey_period: table1.rekey_period,
+            transient: 0,
+        }
+    }
+}
+
+impl Paper {
+    /// The steady-state join count per rekey interval (`J`) of a
+    /// group of `group_size` members.
+    pub fn joins_per_interval(&self, group_size: usize) -> f64 {
+        self.model(group_size).steady_state().joins_per_period
+    }
+
+    /// Arrivals in the last compiled scenario that joined and left
+    /// within one interval.
+    pub fn transients(&self) -> usize {
+        self.transient
+    }
+
+    fn model(&self, group_size: usize) -> PartitionParams {
+        PartitionParams {
+            group_size: group_size.max(2) as u64,
+            degree: 4, // irrelevant for the queueing solution
+            rekey_period: self.rekey_period,
+            k: 1,
+            mean_short: self.mean_short,
+            mean_long: self.mean_long,
+            alpha: self.alpha,
+        }
+    }
+
+    fn draw(&self, short_prob: f64, rng: &mut StdRng) -> (DurationClass, f64) {
+        let (class, mean) = if rng.gen::<f64>() < short_prob {
+            (DurationClass::Short, self.mean_short)
+        } else {
+            (DurationClass::Long, self.mean_long)
+        };
+        (class, exponential(rng, mean))
+    }
+}
+
+/// Samples an exponential with the given mean.
+fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
+    -mean * (1.0 - rng.gen::<f64>()).ln()
+}
+
+impl Workload for Paper {
+    fn name(&self) -> &'static str {
+        "paper"
+    }
+
+    fn interval(&mut self, _: usize, _: usize, _: &mut GroupState, _: &mut StdRng) -> IntervalOps {
+        unreachable!("Paper overrides compile()")
+    }
+
+    fn compile(&mut self, seed: u64, intervals: usize, params: &GenParams) -> Scenario {
+        assert!((0.0..=1.0).contains(&self.alpha), "alpha out of range");
+        assert!(self.mean_short > 0.0 && self.mean_long > 0.0);
+        assert!(self.rekey_period > 0.0);
+        let mut rng = StdRng::seed_from_u64(seed ^ name_salt(self.name()));
+        let steady = self.model(params.bootstrap).steady_state();
+        let mean_gap = self.rekey_period / steady.joins_per_period.max(1e-12);
+        let mut departures = Departures::default();
+        let mut next_id = 0u64;
+        let mut admit = |class, leaves_at, departures: &mut Departures| {
+            let member = next_id;
+            next_id += 1;
+            departures.schedule(leaves_at, member);
+            JoinOp {
+                member,
+                class: Some(class),
+                loss: 0.0,
+            }
+        };
+
+        // The stationary class mix of the *population* (not of joins):
+        // long-lived members accumulate, so their share exceeds 1 - α.
+        let short_share = steady.n_cs / (steady.n_cs + steady.n_cl);
+        let bootstrap = (0..params.bootstrap)
+            .map(|_| {
+                let (class, residual) = self.draw(short_share, &mut rng);
+                admit(class, residual, &mut departures)
+            })
+            .collect();
+        let mut out = Vec::with_capacity(intervals + 1);
+        out.push(IntervalOps {
+            joins: bootstrap,
+            ..IntervalOps::default()
+        });
+
+        self.transient = 0;
+        let mut now = 0.0;
+        for _ in 0..intervals {
+            let end = now + self.rekey_period;
+            let mut ops = IntervalOps::default();
+            let mut t = now + exponential(&mut rng, mean_gap);
+            while t <= end {
+                let (class, duration) = self.draw(self.alpha, &mut rng);
+                if t + duration <= end {
+                    self.transient += 1;
+                } else {
+                    ops.joins.push(admit(class, t + duration, &mut departures));
+                }
+                t += exponential(&mut rng, mean_gap);
+            }
+            ops.leaves.extend(departures.pop_until(end));
+            ops.leaves.sort_unstable();
+            out.push(ops);
+            now = end;
+        }
+
+        Scenario {
+            seed,
+            degree: params.degree,
+            k: params.k,
+            intervals: out,
+        }
+    }
+}
+
 /// Every named workload generator, in the canonical sweep order.
-pub const WORKLOAD_NAMES: [&str; 5] = [
+pub const WORKLOAD_NAMES: [&str; 6] = [
     "uniform",
     "diurnal",
     "flash-crowd",
     "mobile-flap",
     "regional-loss",
+    "paper",
 ];
 
 /// Constructs the named generator with its default tuning, or `None`
@@ -601,6 +761,7 @@ pub fn workload_by_name(name: &str) -> Option<Box<dyn Workload>> {
         "flash-crowd" => Some(Box::new(FlashCrowd::default())),
         "mobile-flap" => Some(Box::new(MobileFlap::default())),
         "regional-loss" => Some(Box::new(RegionalLoss::default())),
+        "paper" => Some(Box::new(Paper::default())),
         _ => None,
     }
 }
@@ -615,83 +776,25 @@ pub fn all_workloads() -> Vec<Box<dyn Workload>> {
 }
 
 /// The per-workload members gauge name (recorded every interval of an
-/// observed run). Static names because the obs [`Recorder`] interns
-/// `&'static str`; the generator set is closed, so a `match` is the
-/// whole intern table.
-///
-/// [`Recorder`]: rekey_obs::Recorder
+/// observed run), e.g. `workload.flash_crowd.members`. A replayed
+/// trace names its generator in file input, so unknown names share
+/// the `workload.other.*` series instead of minting new ones.
 pub fn members_gauge(workload: &str) -> &'static str {
-    match workload {
-        "uniform" => "workload.uniform.members",
-        "diurnal" => "workload.diurnal.members",
-        "flash-crowd" => "workload.flash_crowd.members",
-        "mobile-flap" => "workload.mobile_flap.members",
-        "regional-loss" => "workload.regional_loss.members",
-        _ => "workload.other.members",
-    }
+    workload_metric(workload, "members")
 }
 
 /// The per-workload multicast-bytes counter name.
 pub fn bytes_counter(workload: &str) -> &'static str {
-    match workload {
-        "uniform" => "workload.uniform.bytes",
-        "diurnal" => "workload.diurnal.bytes",
-        "flash-crowd" => "workload.flash_crowd.bytes",
-        "mobile-flap" => "workload.mobile_flap.bytes",
-        "regional-loss" => "workload.regional_loss.bytes",
-        _ => "workload.other.bytes",
-    }
+    workload_metric(workload, "bytes")
 }
 
-/// Aggregates of one observed workload run: the plain [`RunStats`]
-/// plus the per-interval series the sweep reports.
-#[derive(Debug, Clone)]
-pub struct WorkloadRun {
-    /// The underlying oracle-checked run.
-    pub stats: RunStats,
-    /// Largest group size reached after any interval — the peak key
-    /// tree size.
-    pub peak_members: usize,
-    /// Largest multicast payload of any single interval, in bytes.
-    pub max_interval_bytes: usize,
-    /// Mean multicast bytes per interval.
-    pub mean_interval_bytes: f64,
-    /// Per-interval `process_interval` wall-clock latency, as a log₂
-    /// histogram (p50/p90/p99/max via [`Log2Histogram::quantile`]).
-    pub latency_ns: Log2Histogram,
-}
-
-/// Runs a compiled workload scenario with per-interval observation:
-/// like [`crate::runner::run_scenario`], but additionally tracks peak
-/// group size, per-interval bandwidth, and rekey latency percentiles,
-/// and records the per-workload obs gauges/counters (visible in any
-/// installed [`rekey_obs::Recorder`]).
-pub fn run_workload(
-    workload_name: &str,
-    factory: &ManagerFactory,
-    scenario: &Scenario,
-    opts: &RunOptions,
-) -> Result<WorkloadRun, Violation> {
-    let members_gauge = members_gauge(workload_name);
-    let bytes_counter = bytes_counter(workload_name);
-    let mut peak_members = 0usize;
-    let mut max_interval_bytes = 0usize;
-    let mut latency_ns = Log2Histogram::new();
-    let stats = run_scenario_with(factory, scenario, opts, &mut |obs| {
-        peak_members = peak_members.max(obs.members);
-        max_interval_bytes = max_interval_bytes.max(obs.bytes);
-        latency_ns.record(obs.process_ns);
-        rekey_obs::sample(members_gauge, obs.members as f64);
-        rekey_obs::count(bytes_counter, obs.bytes as u64);
-    })?;
-    let mean_interval_bytes = stats.total_bytes as f64 / stats.intervals.max(1) as f64;
-    Ok(WorkloadRun {
-        stats,
-        peak_members,
-        max_interval_bytes,
-        mean_interval_bytes,
-        latency_ns,
-    })
+fn workload_metric(workload: &str, series: &str) -> &'static str {
+    let stem = if WORKLOAD_NAMES.contains(&workload) {
+        workload.replace('-', "_")
+    } else {
+        "other".to_string()
+    };
+    rekey_obs::intern(&format!("workload.{stem}.{series}"))
 }
 
 #[cfg(test)]
@@ -798,10 +901,108 @@ mod tests {
         for name in WORKLOAD_NAMES {
             let workload = workload_by_name(name).expect("registered");
             assert_eq!(workload.name(), name);
-            assert!(members_gauge(name).starts_with("workload."));
-            assert!(bytes_counter(name).starts_with("workload."));
+            let stem = name.replace('-', "_");
+            assert_eq!(members_gauge(name), format!("workload.{stem}.members"));
+            assert_eq!(bytes_counter(name), format!("workload.{stem}.bytes"));
+            // Interned: asking again hands back the same string.
+            assert!(std::ptr::eq(members_gauge(name), members_gauge(name)));
         }
+        assert_eq!(members_gauge("flash-crowd"), "workload.flash_crowd.members");
+        assert_eq!(members_gauge("nope"), "workload.other.members");
+        assert_eq!(bytes_counter("nope"), "workload.other.bytes");
         assert!(workload_by_name("nope").is_none());
         assert_eq!(all_workloads().len(), WORKLOAD_NAMES.len());
+    }
+
+    fn paper(members: usize, seed: u64, intervals: usize) -> (Paper, Scenario) {
+        let params = GenParams {
+            bootstrap: members,
+            ..GenParams::default()
+        };
+        let mut workload = Paper::default();
+        let scenario = workload.compile(seed, intervals, &params);
+        (workload, scenario)
+    }
+
+    /// Joins and leaves of the churn intervals (the bootstrap excluded).
+    fn churn_counts(scenario: &Scenario) -> (usize, usize) {
+        scenario.intervals[1..].iter().fold((0, 0), |(j, l), iv| {
+            (j + iv.joins.len(), l + iv.leaves.len())
+        })
+    }
+
+    #[test]
+    fn paper_population_stays_near_target() {
+        let (_, scenario) = paper(1000, 1, 100);
+        let (joins, leaves) = churn_counts(&scenario);
+        let population = (1000 + joins - leaves) as f64;
+        assert!(
+            (700.0..1300.0).contains(&population),
+            "population {population} drifted from target 1000"
+        );
+    }
+
+    #[test]
+    fn paper_join_rate_matches_model() {
+        let intervals = 200;
+        let (workload, scenario) = paper(1000, 2, intervals);
+        let expected = workload.joins_per_interval(1000);
+        let (joins, _) = churn_counts(&scenario);
+        assert!(workload.transients() > 0, "no same-interval arrivals");
+        let measured = (joins + workload.transients()) as f64 / intervals as f64;
+        assert!(
+            (measured - expected).abs() / expected < 0.1,
+            "measured J {measured} vs model {expected}"
+        );
+    }
+
+    #[test]
+    fn paper_leave_rate_balances_join_rate() {
+        let (_, scenario) = paper(1000, 3, 300);
+        let (joins, leaves) = churn_counts(&scenario);
+        let ratio = leaves as f64 / joins as f64;
+        assert!(
+            (0.85..1.15).contains(&ratio),
+            "leave/join ratio {ratio} not balanced"
+        );
+    }
+
+    #[test]
+    fn paper_class_mix_matches_alpha() {
+        let (_, scenario) = paper(1000, 4, 200);
+        let classes: Vec<_> = scenario.intervals[1..]
+            .iter()
+            .flat_map(|iv| iv.joins.iter().map(|j| j.class))
+            .collect();
+        assert!(
+            classes.iter().all(Option::is_some),
+            "a join lacks its class"
+        );
+        let short = classes
+            .iter()
+            .filter(|&&c| c == Some(DurationClass::Short))
+            .count();
+        let frac = short as f64 / classes.len() as f64;
+        assert!((frac - 0.8).abs() < 0.05, "short fraction {frac}");
+    }
+
+    #[test]
+    fn paper_ids_are_unique() {
+        let (_, scenario) = paper(1000, 6, 50);
+        let mut seen = std::collections::HashSet::new();
+        for iv in &scenario.intervals {
+            for join in &iv.joins {
+                assert!(seen.insert(join.member), "duplicate id {}", join.member);
+            }
+        }
+    }
+
+    #[test]
+    fn exponential_mean() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 50_000;
+        let sum: f64 = (0..n).map(|_| exponential(&mut rng, 42.0)).sum();
+        let mean = sum / n as f64;
+        assert!((mean - 42.0).abs() < 1.0, "mean {mean}");
     }
 }

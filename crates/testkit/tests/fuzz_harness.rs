@@ -20,6 +20,7 @@ fn honest_schemes_pass_lossless_churn() {
         let opts = RunOptions {
             delivery: Delivery::Lossless,
             workers: 1,
+            ..RunOptions::default()
         };
         let stats =
             run_scenario(&factory, &scenario, &opts).unwrap_or_else(|v| panic!("{scheme}: {v}"));
@@ -41,6 +42,7 @@ fn honest_schemes_pass_bernoulli_loss() {
         let opts = RunOptions {
             delivery: Delivery::Bernoulli,
             workers: 1,
+            ..RunOptions::default()
         };
         run_scenario(&factory, &scenario, &opts).unwrap_or_else(|v| panic!("{scheme}: {v}"));
     }
@@ -54,6 +56,7 @@ fn honest_schemes_pass_wka_transport() {
         let opts = RunOptions {
             delivery: Delivery::WkaBkr,
             workers: 1,
+            ..RunOptions::default()
         };
         run_scenario(&factory, &scenario, &opts).unwrap_or_else(|v| panic!("{scheme}: {v}"));
     }
@@ -71,6 +74,7 @@ fn verdict_and_digest_identical_across_worker_counts() {
                 &RunOptions {
                     delivery: Delivery::WkaBkr,
                     workers,
+                    ..RunOptions::default()
                 },
             )
         };

@@ -51,6 +51,7 @@ fn stress_generators_pass_under_wka() {
         let opts = RunOptions {
             delivery: Delivery::WkaBkr,
             workers: 1,
+            ..RunOptions::default()
         };
         for scheme in [Scheme::Tt, Scheme::LossForest] {
             let factory = factory_for(scheme);
@@ -101,6 +102,7 @@ fn run_digest_is_worker_count_independent() {
             &RunOptions {
                 delivery: Delivery::Lossless,
                 workers: 1,
+                ..RunOptions::default()
             },
         )
         .expect("sequential run");
@@ -111,6 +113,7 @@ fn run_digest_is_worker_count_independent() {
             &RunOptions {
                 delivery: Delivery::Lossless,
                 workers: 8,
+                ..RunOptions::default()
             },
         )
         .expect("parallel run");
@@ -120,5 +123,35 @@ fn run_digest_is_worker_count_independent() {
         );
         assert_eq!(sequential.peak_members, parallel.peak_members);
         assert_eq!(sequential.max_interval_bytes, parallel.max_interval_bytes);
+    }
+}
+
+/// Checking is a verdict knob only: with the oracle and the member
+/// farm off, a run of the paper's process reports the identical
+/// statistics, wire digest included, for every scheme.
+#[test]
+fn paper_stats_do_not_depend_on_checking() {
+    let params = GenParams {
+        bootstrap: 200,
+        ..GenParams::default()
+    };
+    let scenario = workload_by_name("paper")
+        .expect("registered generator")
+        .compile(5, 30, &params);
+    for &scheme in &Scheme::ALL {
+        let factory = factory_for(scheme);
+        let run = |check| {
+            let opts = RunOptions {
+                check,
+                ..RunOptions::default()
+            };
+            run_workload("paper", &factory, &scenario, &opts)
+                .unwrap_or_else(|v| panic!("paper/{} (check {check}): {v}", scheme.name()))
+        };
+        let checked = run(true);
+        let unchecked = run(false);
+        assert_eq!(checked.stats, unchecked.stats, "{}", scheme.name());
+        assert_eq!(checked.peak_members, unchecked.peak_members);
+        assert!(checked.stats.final_members > 0);
     }
 }

@@ -20,19 +20,44 @@ use rekey_core::one_tree::OneTreeManager;
 use rekey_core::partition::{QtManager, TtManager};
 use rekey_core::{GroupKeyManager, Join};
 use rekey_crypto::Key;
-use rekey_sim::membership::{MembershipGenerator, MembershipParams};
+use rekey_keytree::MemberId;
+use rekey_testkit::{GenParams, IntervalOps, Paper, Workload};
 
 const N: usize = 2048;
 const OBSERVE_INTERVALS: usize = 60;
+const WARMUP_INTERVALS: usize = 15;
 const MEASURE_INTERVALS: usize = 30;
 
+/// The interval's joins (each with a fresh individual key) and leaves.
+fn batch(ops: &IntervalOps, rng: &mut StdRng) -> (Vec<Join>, Vec<MemberId>) {
+    let joins = ops
+        .joins
+        .iter()
+        .map(|j| Join::new(MemberId(j.member), Key::generate(rng)))
+        .collect();
+    let leaves = ops.leaves.iter().map(|&m| MemberId(m)).collect();
+    (joins, leaves)
+}
+
 fn main() {
-    let params = MembershipParams {
-        target_size: N,
-        ..MembershipParams::paper_default()
+    // The session's churn: the paper's two-class process, which the
+    // server does not know in advance.
+    let mut paper = Paper::default();
+    let rekey_period = paper.rekey_period;
+    let params = GenParams {
+        bootstrap: N,
+        ..GenParams::default()
     };
+    let session = paper.compile(
+        7,
+        OBSERVE_INTERVALS + WARMUP_INTERVALS + MEASURE_INTERVALS,
+        &params,
+    );
+    let (bootstrap, observe) = session.intervals[..=OBSERVE_INTERVALS]
+        .split_first()
+        .expect("bootstrap interval");
+    let measure = &session.intervals[OBSERVE_INTERVALS + 1..];
     let mut rng = StdRng::seed_from_u64(7);
-    let mut generator = MembershipGenerator::new(params, &mut rng);
 
     // Phase 1: one key tree + trace collection.
     let mut manager = OneTreeManager::new(4);
@@ -40,33 +65,28 @@ fn main() {
     let mut clock = 0.0f64;
 
     // Bootstrap the pre-populated group.
-    let joins: Vec<Join> = (0..generator.population() as u64)
-        .map(|i| {
-            collector.record_join(rekey_keytree::MemberId(i), clock);
-            Join::new(rekey_keytree::MemberId(i), Key::generate(&mut rng))
-        })
-        .collect();
-    manager.process_interval(&joins, &[], &mut rng).unwrap();
+    let (joins, _) = batch(bootstrap, &mut rng);
+    for join in &joins {
+        collector.record_join(join.member, clock);
+    }
+    manager
+        .process_interval(&joins, &[], &mut rng)
+        .expect("bootstrap batch of fresh members");
 
     println!("Phase 1: single key tree, observing the session…");
     let mut phase1_keys = 0usize;
-    for _ in 0..OBSERVE_INTERVALS {
-        clock += params.rekey_period;
-        let events = generator.next_interval(&mut rng);
-        let joins: Vec<Join> = events
-            .joins
-            .iter()
-            .map(|&(m, _)| {
-                collector.record_join(m, clock);
-                Join::new(m, Key::generate(&mut rng))
-            })
-            .collect();
-        for &m in &events.leaves {
+    for ops in observe {
+        clock += rekey_period;
+        let (joins, leaves) = batch(ops, &mut rng);
+        for join in &joins {
+            collector.record_join(join.member, clock);
+        }
+        for &m in &leaves {
             collector.record_leave(m, clock);
         }
         let out = manager
-            .process_interval(&joins, &events.leaves, &mut rng)
-            .unwrap();
+            .process_interval(&joins, &leaves, &mut rng)
+            .expect("paper workload batches are consistent");
         phase1_keys += out.stats.encrypted_keys;
     }
     let phase1_mean = phase1_keys as f64 / OBSERVE_INTERVALS as f64;
@@ -85,7 +105,7 @@ fn main() {
         ),
         None => println!("No bimodality detected; the one-keytree scheme is appropriate."),
     }
-    let rec = recommend(N as u64, 4, params.rekey_period, estimate, 20);
+    let rec = recommend(N as u64, 4, rekey_period, estimate, 20);
     println!(
         "Model recommendation: {:?} (predicted {:.0} vs {:.0} keys/interval)\n",
         rec.scheme, rec.predicted_cost, rec.one_keytree_cost
@@ -115,18 +135,13 @@ fn main() {
 
     let mut phase3_keys = 0usize;
     let mut measured = 0usize;
-    for step in 0..(MEASURE_INTERVALS + 15) {
-        let events = generator.next_interval(&mut rng);
-        let joins: Vec<Join> = events
-            .joins
-            .iter()
-            .map(|&(m, _)| Join::new(m, Key::generate(&mut rng)))
-            .collect();
+    for (step, ops) in measure.iter().enumerate() {
+        let (joins, leaves) = batch(ops, &mut rng);
         let out = new_manager
-            .process_interval(&joins, &events.leaves, &mut rng)
-            .unwrap();
+            .process_interval(&joins, &leaves, &mut rng)
+            .expect("paper workload batches are consistent");
         // Skip the first intervals while partitions fill.
-        if step >= 15 {
+        if step >= WARMUP_INTERVALS {
             phase3_keys += out.stats.encrypted_keys;
             measured += 1;
         }

@@ -9,33 +9,27 @@
 //!
 //! Run with: `cargo run --release --example pay_per_view`
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rekey_analytic::partition::PartitionParams;
 use rekey_core::one_tree::OneTreeManager;
 use rekey_core::partition::{PtManager, QtManager, TtManager};
 use rekey_core::GroupKeyManager;
-use rekey_sim::driver::{run_scheme, SimConfig};
-use rekey_sim::membership::{MembershipGenerator, MembershipParams};
+use rekey_testkit::{run_measured, GenParams, Paper, RunOptions, Scenario, Workload};
 
 const SUBSCRIBERS: usize = 4096;
 const K: u64 = 10;
 const SEED: u64 = 42;
+const WARMUP: usize = 15;
+const MEASURED: usize = 40;
 
-fn simulate(manager: &mut dyn GroupKeyManager, oracle: bool) -> f64 {
-    let params = MembershipParams {
-        target_size: SUBSCRIBERS,
-        ..MembershipParams::paper_default()
+/// Mean encrypted keys per measured interval of `scenario`. Every join
+/// carries its true duration class; only the oracle PT-scheme reads it.
+fn simulate(manager: impl Fn() -> Box<dyn GroupKeyManager>, scenario: &Scenario) -> f64 {
+    let opts = RunOptions {
+        check: false,
+        ..RunOptions::default()
     };
-    let config = SimConfig {
-        intervals: 40,
-        warmup: 15,
-        oracle_hints: oracle,
-        ..SimConfig::quick()
-    };
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut generator = MembershipGenerator::new(params, &mut rng);
-    run_scheme(manager, &mut generator, &config, &mut rng).mean_keys_per_interval
+    let (_, keys) = run_measured(&|_| manager(), scenario, &opts, WARMUP).expect("unchecked run");
+    keys.mean
 }
 
 fn main() {
@@ -50,20 +44,33 @@ fn main() {
     };
     let predicted = model.costs();
 
-    let mut one = OneTreeManager::new(4);
-    let mut tt = TtManager::new(4, K);
-    let mut qt = QtManager::new(4, K);
-    let mut pt = PtManager::new(4);
+    let params = GenParams {
+        bootstrap: SUBSCRIBERS,
+        ..GenParams::default()
+    };
+    let session = Paper::default().compile(SEED, WARMUP + MEASURED, &params);
 
     let rows: Vec<(&str, f64, f64)> = vec![
         (
             "one-keytree",
-            simulate(&mut one, false),
+            simulate(|| Box::new(OneTreeManager::new(4)), &session),
             predicted.one_keytree,
         ),
-        ("TT-scheme", simulate(&mut tt, false), predicted.tt),
-        ("QT-scheme", simulate(&mut qt, false), predicted.qt),
-        ("PT-scheme (oracle)", simulate(&mut pt, true), predicted.pt),
+        (
+            "TT-scheme",
+            simulate(|| Box::new(TtManager::new(4, K)), &session),
+            predicted.tt,
+        ),
+        (
+            "QT-scheme",
+            simulate(|| Box::new(QtManager::new(4, K)), &session),
+            predicted.qt,
+        ),
+        (
+            "PT-scheme (oracle)",
+            simulate(|| Box::new(PtManager::new(4)), &session),
+            predicted.pt,
+        ),
     ];
 
     let baseline = rows[0].1;

@@ -167,36 +167,31 @@ fn loss_forest_secrecy() {
     exercise(Box::new(LossForestManager::two_trees(3)), 5);
 }
 
-/// A full simulated session with member verification at every
-/// interval, for every scheme, on a shared workload.
+/// A full session of the paper's membership process for every scheme,
+/// checked after every interval by the shadow oracle and the member
+/// farm (forward secrecy, ring soundness, DEK confinement, liveness).
 #[test]
 fn simulated_sessions_stay_synchronized() {
-    use rekey_sim::driver::{run_scheme, SimConfig};
-    use rekey_sim::membership::{MembershipGenerator, MembershipParams};
+    use rekey_testkit::{run_scenario, GenParams, Paper, RunOptions, Workload};
 
-    let params = MembershipParams {
-        target_size: 150,
-        ..MembershipParams::paper_default()
+    let params = GenParams {
+        bootstrap: 150,
+        degree: 4,
+        k: 4,
+        ..GenParams::default()
     };
-    let config = SimConfig {
-        intervals: 12,
-        warmup: 3,
-        verify_members: true,
-        oracle_hints: true,
-        ..SimConfig::quick()
-    };
-    let managers: Vec<Box<dyn GroupKeyManager>> = vec![
-        Box::new(OneTreeManager::new(4)),
-        Box::new(TtManager::new(4, 4)),
-        Box::new(QtManager::new(4, 4)),
-        Box::new(PtManager::new(4)),
-        Box::new(LossForestManager::two_trees(4)),
+    let scenario = Paper::default().compile(99, 15, &params);
+    let managers: [fn() -> Box<dyn GroupKeyManager>; 5] = [
+        || Box::new(OneTreeManager::new(4)),
+        || Box::new(TtManager::new(4, 4)),
+        || Box::new(QtManager::new(4, 4)),
+        || Box::new(PtManager::new(4)),
+        || Box::new(LossForestManager::two_trees(4)),
     ];
-    for mut mgr in managers {
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut generator = MembershipGenerator::new(params, &mut rng);
-        // run_scheme panics on any desynchronization.
-        let report = run_scheme(mgr.as_mut(), &mut generator, &config, &mut rng);
-        assert!(report.mean_keys_per_interval > 0.0);
+    for make in managers {
+        let stats = run_scenario(&|_| make(), &scenario, &RunOptions::default())
+            .unwrap_or_else(|v| panic!("{}: {v}", make().scheme_name()));
+        assert!(stats.total_entries > 0);
+        assert_eq!(stats.intervals, 16);
     }
 }

@@ -2,31 +2,36 @@
 //! figures are computed from) against the executable system (what the
 //! paper did not have).
 //!
-//! A discrete-event simulation of the real key server — actual trees,
-//! actual key wrapping, actual migrations — must land close to the
-//! closed-form steady-state costs of §3.3.1, and preserve the paper's
-//! scheme ordering. Every comparison sweeps several workload seeds and
+//! The real key server — actual trees, actual key wrapping, actual
+//! migrations — driven through the paper's membership process (the
+//! testkit's `paper` workload) must land close to the closed-form
+//! steady-state costs of §3.3.1, and preserve the paper's scheme
+//! ordering. Every comparison sweeps several workload seeds and
 //! reports the worst-case model/sim deviation, so a single lucky draw
 //! can neither pass nor fail the suite.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rekey_analytic::partition::PartitionParams;
 use rekey_core::one_tree::OneTreeManager;
 use rekey_core::partition::{QtManager, TtManager};
 use rekey_core::GroupKeyManager;
-use rekey_sim::driver::{run_scheme, SimConfig};
-use rekey_sim::membership::{MembershipGenerator, MembershipParams};
+use rekey_testkit::{run_measured, GenParams, Paper, RunOptions, Scenario, Workload};
 
 const N: usize = 2048;
 /// Independent workload seeds; deviation bounds must hold for all.
 const SEEDS: [u64; 3] = [20030412, 7, 424242];
+/// Churn intervals excluded from the measurement while the partitions
+/// fill, then the measured ones.
+const WARMUP: usize = 15;
+const MEASURED: usize = 50;
 
-fn sim_params() -> MembershipParams {
-    MembershipParams {
-        target_size: N,
-        ..MembershipParams::paper_default()
-    }
+fn workload(seed: u64, intervals: usize) -> (Paper, Scenario) {
+    let params = GenParams {
+        bootstrap: N,
+        ..GenParams::default()
+    };
+    let mut paper = Paper::default();
+    let scenario = paper.compile(seed, intervals, &params);
+    (paper, scenario)
 }
 
 fn model(k: u32) -> PartitionParams {
@@ -37,15 +42,17 @@ fn model(k: u32) -> PartitionParams {
     }
 }
 
-fn simulate(manager: &mut dyn GroupKeyManager, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut generator = MembershipGenerator::new(sim_params(), &mut rng);
-    let config = SimConfig {
-        intervals: 50,
-        warmup: 15,
-        ..SimConfig::quick()
+/// Mean encrypted keys per measured interval. Unchecked: the oracle
+/// and the member farm would dominate the run time at this size, and
+/// the statistics are the same either way.
+fn simulate(make: impl Fn() -> Box<dyn GroupKeyManager>, seed: u64) -> f64 {
+    let (_, scenario) = workload(seed, WARMUP + MEASURED);
+    let opts = RunOptions {
+        check: false,
+        ..RunOptions::default()
     };
-    run_scheme(manager, &mut generator, &config, &mut rng).mean_keys_per_interval
+    let (_, keys) = run_measured(&|_| make(), &scenario, &opts, WARMUP).expect("unchecked run");
+    keys.mean
 }
 
 /// Sweeps every seed, requires each run's measured cost within
@@ -55,7 +62,7 @@ fn simulate(manager: &mut dyn GroupKeyManager, seed: u64) -> f64 {
 /// (members joining and leaving within one interval are never
 /// admitted), so the band is a modest one.
 fn assert_close_over_seeds(
-    mut make: impl FnMut() -> Box<dyn GroupKeyManager>,
+    make: impl Fn() -> Box<dyn GroupKeyManager>,
     predicted: f64,
     tolerance: f64,
     label: &str,
@@ -63,7 +70,7 @@ fn assert_close_over_seeds(
     let mut worst_dev = 0.0f64;
     let mut worst_seed = SEEDS[0];
     for &seed in &SEEDS {
-        let measured = simulate(make().as_mut(), seed);
+        let measured = simulate(&make, seed);
         let ratio = measured / predicted;
         let dev = (ratio - 1.0).abs();
         if dev > worst_dev {
@@ -121,9 +128,9 @@ fn scheme_ordering_is_preserved() {
     let predicted_gain = 1.0 - model(10).cost_tt() / model(10).cost_one_keytree();
     let mut worst_gap = 0.0f64;
     for &seed in &SEEDS {
-        let one = simulate(&mut OneTreeManager::new(4), seed);
-        let tt = simulate(&mut TtManager::new(4, 10), seed);
-        let qt = simulate(&mut QtManager::new(4, 10), seed);
+        let one = simulate(|| Box::new(OneTreeManager::new(4)), seed);
+        let tt = simulate(|| Box::new(TtManager::new(4, 10)), seed);
+        let qt = simulate(|| Box::new(QtManager::new(4, 10)), seed);
         assert!(
             tt < one,
             "seed {seed}: TT ({tt:.0}) should beat one-keytree ({one:.0})"
@@ -150,22 +157,18 @@ fn scheme_ordering_is_preserved() {
 #[test]
 fn join_rate_matches_queueing_model() {
     // The generator reproduces the J of equations (1)–(5) under every
-    // seed.
-    let params = sim_params();
-    let expected = params.joins_per_interval();
+    // seed, counting the arrivals that leave within their arrival
+    // interval (never admitted under batch rekeying).
+    let expected = Paper::default().joins_per_interval(N);
     let mut worst = 0.0f64;
     for &seed in &SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut generator = MembershipGenerator::new(params, &mut rng);
-        let mut joins = 0usize;
-        let mut transient = 0usize;
         let rounds = 150;
-        for _ in 0..rounds {
-            let ev = generator.next_interval(&mut rng);
-            joins += ev.joins.len();
-            transient += ev.transient;
-        }
-        let measured = (joins + transient) as f64 / rounds as f64;
+        let (paper, scenario) = workload(seed, rounds);
+        let joins: usize = scenario.intervals[1..]
+            .iter()
+            .map(|iv| iv.joins.len())
+            .sum();
+        let measured = (joins + paper.transients()) as f64 / rounds as f64;
         let dev = (measured / expected - 1.0).abs();
         worst = worst.max(dev);
         assert!(
